@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .digraph import Arc, Digraph, UndirectedGraph
-from .errors import InvalidColoringError, NotConnectedError
+from .errors import InvalidColoringError, NotConnectedError, ReconstructionError
 from .factorization import Factorization, reconstruct_cartesian
 
 Edge = tuple[int, int]
@@ -223,6 +223,8 @@ def cartesian_pfd(g: Digraph) -> Factorization:
     product: undirected PFD of the shadow, then direction-conflict merging."""
     if not g.is_connected():
         raise NotConnectedError("cartesian PFD requires a connected graph")
+    if g.n == 0:
+        return Factorization((), ())
     if g.n == 1:
         return Factorization((g,), ((0,),))
     ug = g.underlying_undirected()
@@ -254,5 +256,6 @@ def cartesian_pfd(g: Digraph) -> Factorization:
         tuple(ranks[i][coords[v][i]] for i in range(coloring.count)) for v in range(g.n)
     )
     result = Factorization(tuple(factors), fcoords)
-    assert reconstruct_cartesian(result) == g, "cartesian reconstruction mismatch"
+    if reconstruct_cartesian(result) != g:
+        raise ReconstructionError("cartesian reconstruction mismatch")
     return result

@@ -49,6 +49,10 @@ class InvalidColoringError(GraphError):
     """An edge coloring is not a valid product coloring of the graph."""
 
 
+class ReconstructionError(GraphError):
+    """A computed factorization does not reproduce its input graph."""
+
+
 class TimeBudgetExceededError(GraphError):
     """A search exceeded its configured time budget."""
 

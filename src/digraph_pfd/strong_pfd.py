@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .cartesian_pfd import cartesian_pfd
 from .digraph import Arc, Digraph, complete_digraph
-from .errors import NotConnectedError, NotThinError
+from .errors import NotConnectedError, NotThinError, ReconstructionError
 from .factorization import Factorization, reconstruct_strong
 from .products import strong_product
 from .relations import blowup, is_thin, quotient, s_partition
@@ -25,20 +25,15 @@ from .skeleton import cartesian_skeleton
 Coords = Sequence[tuple[int, ...]]
 
 
+def _project(x: Sequence[int], idx: Iterable[int]) -> tuple[int, ...]:
+    return tuple(x[i] for i in idx)
+
+
 def _ravel(tup: Sequence[int], sizes: Sequence[int]) -> int:
     vid = 0
     for c, s in zip(tup, sizes):
         vid = vid * s + c
     return vid
-
-
-def _merge(j_tuple, c_tuple, j_idx, c_idx, k):
-    full = [0] * k
-    for pos, j in enumerate(j_idx):
-        full[j] = j_tuple[pos]
-    for pos, j in enumerate(c_idx):
-        full[j] = c_tuple[pos]
-    return tuple(full)
 
 
 def verify_strong_grouping(
@@ -49,49 +44,59 @@ def verify_strong_grouping(
     Candidate A is the induced layer through vertex 0 over the J coordinates,
     B the complement layer; the pair is returned iff g equals A boxtimes B
     arc-for-arc under the projection pair, else None.
+
+    The check runs vertex by vertex: the closed out-neighbourhood of v must
+    be exactly the product of v's closed neighbourhoods in A and B.  Vertex 0
+    is tested first, before any O(n) work, with A_0 (B_0) taken as the
+    projections of the members of N+[0] that keep vertex 0's complement (J)
+    coordinates; for a bijective coordinate map onto a grid, which
+    cartesian_pfd returns, these are exactly its neighbourhoods in the two
+    layers, so most rejected subsets cost O(d k).
     """
     k = len(coords[0])
     j_idx = tuple(sorted(J))
     if not j_idx or any(j < 0 or j >= k for j in j_idx):
         return None
     c_idx = tuple(j for j in range(k) if j not in j_idx)
-    sizes = [max(c[j] for c in coords) + 1 for j in range(k)]
-    base = coords[0]
+
+    def product_at(v: int, a: set, b: set, fj: Callable, fc: Callable) -> bool:
+        """N+[v] is a x b under the projections fj, fc of a bijective map."""
+        closed = (v,) + g.out_adj[v]
+        return len(closed) == len(a) * len(b) and all(
+            fj(w) in a and fc(w) in b for w in closed
+        )
 
     def pj(v: int) -> tuple[int, ...]:
-        return tuple(coords[v][j] for j in j_idx)
+        return _project(coords[v], j_idx)
 
     def pc(v: int) -> tuple[int, ...]:
-        return tuple(coords[v][j] for j in c_idx)
+        return _project(coords[v], c_idx)
 
     base_j, base_c = pj(0), pc(0)
-    lay_a = {pj(v): v for v in range(g.n) if pc(v) == base_c}
-    lay_b = {pc(v): v for v in range(g.n) if pj(v) == base_j}
+    closed0 = (0,) + g.out_adj[0]
+    a0 = {pj(w) for w in closed0 if pc(w) == base_c}
+    b0 = {pc(w) for w in closed0 if pj(w) == base_j}
+    if not product_at(0, a0, b0, pj, pc):
+        return None
 
-    a_members = set(lay_a.values())
+    proj_j = [pj(v) for v in range(g.n)]
+    proj_c = [pc(v) for v in range(g.n)]
+    lay_a = {proj_j[v]: v for v in range(g.n) if proj_c[v] == base_c}
+    lay_b = {proj_c[v]: v for v in range(g.n) if proj_j[v] == base_j}
     a_closed = {t: {t} for t in lay_a}
     for t, v in lay_a.items():
-        for w in g.out_adj[v]:
-            if w in a_members:
-                a_closed[t].add(pj(w))
-    b_members = set(lay_b.values())
+        a_closed[t].update(proj_j[w] for w in g.out_adj[v] if proj_c[w] == base_c)
     b_closed = {t: {t} for t in lay_b}
     for t, v in lay_b.items():
-        for w in g.out_adj[v]:
-            if w in b_members:
-                b_closed[t].add(pc(w))
+        b_closed[t].update(proj_c[w] for w in g.out_adj[v] if proj_j[w] == base_j)
 
-    index = {tuple(c): v for v, c in enumerate(coords)}
-    for v in range(g.n):
-        expected = {
-            index[_merge(ja, jb, j_idx, c_idx, k)]
-            for ja in a_closed[pj(v)]
-            for jb in b_closed[pc(v)]
-        }
-        expected.discard(v)
-        if expected != set(g.out_adj[v]):
-            return None
+    fj, fc = proj_j.__getitem__, proj_c.__getitem__
+    if not all(
+        product_at(v, a_closed[fj(v)], b_closed[fc(v)], fj, fc) for v in range(g.n)
+    ):
+        return None
 
+    sizes = [max(c[j] for c in coords) + 1 for j in range(k)]
     sizes_j = [sizes[j] for j in j_idx]
     sizes_c = [sizes[j] for j in c_idx]
     arcs_a = [
@@ -127,10 +132,31 @@ def _group_layer(g: Digraph, coords: Coords, sizes, J) -> Digraph:
         for w in g.out_adj[u]
         if w in members
     ]
-    n = 1
-    for s in sizes_j:
-        n *= s
-    return Digraph(n, arcs)
+    return Digraph(math.prod(sizes_j), arcs)
+
+
+def _greedy_groups(
+    indices: Iterable[int], accept: Callable[[tuple[int, ...], tuple[int, ...]], bool]
+) -> list[tuple[int, ...]]:
+    """Split the indices into groups.  Each group is the first proper subset J
+    of the remaining indices, smallest first and then in lexicographic order,
+    for which accept(J, remaining) holds; when none does, the remaining
+    indices form the last group."""
+    groups: list[tuple[int, ...]] = []
+    remaining = tuple(indices)
+    while remaining:
+        found = next(
+            (
+                J
+                for size in range(1, len(remaining))
+                for J in itertools.combinations(remaining, size)
+                if accept(J, remaining)
+            ),
+            remaining,
+        )
+        groups.append(found)
+        remaining = tuple(j for j in remaining if j not in found)
+    return groups
 
 
 def strong_pfd_thin(g: Digraph) -> Factorization:
@@ -147,23 +173,10 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
     coords = cf.coords
     sizes = [f.n for f in cf.factors]
 
-    remaining = list(range(len(cf.factors)))
-    groups: list[tuple[int, ...]] = []
-    while remaining:
-        found = None
-        for size in range(1, len(remaining)):
-            for J in itertools.combinations(remaining, size):
-                if verify_strong_grouping(g, coords, J) is not None:
-                    found = J
-                    break
-            if found:
-                break
-        if found is None:
-            groups.append(tuple(remaining))
-            remaining = []
-        else:
-            groups.append(found)
-            remaining = [i for i in remaining if i not in found]
+    groups = _greedy_groups(
+        range(len(cf.factors)),
+        lambda J, rest: verify_strong_grouping(g, coords, J) is not None,
+    )
 
     factors = tuple(_group_layer(g, coords, sizes, J) for J in groups)
     fcoords = tuple(
@@ -174,7 +187,8 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
         for v in range(g.n)
     )
     result = Factorization(factors, fcoords)
-    assert reconstruct_strong(result) == g, "strong reconstruction mismatch"
+    if reconstruct_strong(result) != g:
+        raise ReconstructionError("strong reconstruction mismatch")
     return result
 
 
@@ -227,36 +241,19 @@ def strong_pfd(g: Digraph) -> Factorization:
         thin_f = strong_pfd_thin(h)
         coords_h = thin_f.coords
         table = {coords_h[v]: mult[v] for v in range(h.n)}
-        remaining = tuple(range(len(thin_f.factors)))
-        residual = table
-        while remaining:
-            found = None
-            for size in range(1, len(remaining)):
-                for J in itertools.combinations(remaining, size):
-                    pos_j = tuple(remaining.index(j) for j in J)
-                    pos_c = tuple(p for p in range(len(remaining)) if p not in pos_j)
-                    d_j = gcd_multiplicity(residual, pos_j)
-                    d_c = gcd_multiplicity(residual, pos_c)
-                    if all(
-                        residual[x]
-                        == d_j[tuple(x[p] for p in pos_j)] * d_c[tuple(x[p] for p in pos_c)]
-                        for x in residual
-                    ):
-                        found = (J, pos_c, d_j, d_c)
-                        break
-                if found:
-                    break
-            if found is None:
-                group_sets.append(remaining)
-                group_mults.append(residual)
-                remaining = ()
-            else:
-                J, pos_c, d_j, d_c = found
-                group_sets.append(J)
-                group_mults.append(d_j)
-                remaining = tuple(j for j in remaining if j not in J)
-                residual = d_c
 
+        def splits(J: tuple[int, ...], rest: tuple[int, ...]) -> bool:
+            # The class sizes over rest must be the sizes over J times those
+            # over the others; the gcd projections are the only candidates.
+            others = tuple(j for j in rest if j not in J)
+            d_r, d_j, d_c = (gcd_multiplicity(table, I) for I in (rest, J, others))
+            return all(
+                d_r[_project(x, rest)] == d_j[_project(x, J)] * d_c[_project(x, others)]
+                for x in table
+            )
+
+        group_sets = _greedy_groups(range(len(thin_f.factors)), splits)
+        group_mults = [gcd_multiplicity(table, J) for J in group_sets]
         for J, d_j in zip(group_sets, group_mults):
             prod_j = strong_product([thin_f.factors[j] for j in J])
             block_mult = [d_j[c] for c in prod_j.coords]
@@ -292,5 +289,6 @@ def strong_pfd(g: Digraph) -> Factorization:
         fcoords.append(tuple(coord))
 
     result = Factorization(factors, tuple(fcoords))
-    assert reconstruct_strong(result) == g, "strong reconstruction mismatch"
+    if reconstruct_strong(result) != g:
+        raise ReconstructionError("strong reconstruction mismatch")
     return result

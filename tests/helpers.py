@@ -35,6 +35,13 @@ def c4_bidirected() -> Digraph:
     return Digraph(4, arcs)
 
 
+def bidirected_cube(k: int) -> Digraph:
+    """Hypercube Q_k with both arcs on every edge; triangle-free, so
+    strong-prime, while its skeleton is the whole cube (k Cartesian factors)."""
+    n = 1 << k
+    return Digraph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(k)])
+
+
 def conflict_square() -> Digraph:
     """4-cycle whose two horizontal arcs point oppositely: the shadow is
     K2 box K2 but the digraph is Cartesian-prime.  Vertices are laid out as

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +14,7 @@ from digraph_pfd import (
     gcd_multiplicity,
     is_thin,
     quotient,
+    random_prime_digraph,
     reconstruct_strong,
     strong_pfd,
     strong_pfd_thin,
@@ -19,7 +23,7 @@ from digraph_pfd import (
 )
 from digraph_pfd.errors import NotConnectedError, NotThinError
 
-from helpers import c3, c4_bidirected, factor_forms, k1, k2, p2
+from helpers import bidirected_cube, c3, c4_bidirected, factor_forms, k1, k2, p2
 from strategies import graph_with_permutation, thin_connected_digraphs
 
 
@@ -55,6 +59,67 @@ def test_grouping_rejects_on_prime_with_decomposable_skeleton():
     assert len(coords[0]) == 2  # skeleton splits as K2 box K2
     assert verify_strong_grouping(g, coords, {0}) is None
     assert verify_strong_grouping(g, coords, {1}) is None
+
+
+def _layer_product_arcs(g, coords, J):
+    """Arcs of the strong product of the two layers through vertex 0 (over J
+    and over the other coordinates), mapped back through the coordinates,
+    together with the arc counts of the two layers."""
+    rest = [j for j in range(len(coords[0])) if j not in J]
+    pj = [tuple(c[j] for j in J) for c in coords]
+    pc = [tuple(c[j] for j in rest) for c in coords]
+    a_arcs = {(pj[u], pj[w]) for u, w in g.arcs if pc[u] == pc[w] == pc[0]}
+    b_arcs = {(pc[u], pc[w]) for u, w in g.arcs if pj[u] == pj[w] == pj[0]}
+    arcs = {
+        (u, w)
+        for u in range(g.n)
+        for w in range(g.n)
+        if u != w
+        and (pj[u] == pj[w] or (pj[u], pj[w]) in a_arcs)
+        and (pc[u] == pc[w] or (pc[u], pc[w]) in b_arcs)
+    }
+    return arcs, len(a_arcs), len(b_arcs)
+
+
+def test_grouping_verdict_matches_layer_product_check():
+    cases = [bidirected_cube(k) for k in (3, 4, 5)]
+    # Skeletons that split further than the strong factors: some subsets are
+    # rejected and some accepted in one graph.
+    cases.append(strong_product([c4_bidirected(), p2()]).graph.relabel([7, 2, 5, 0, 3, 6, 1, 4]))
+    cases.append(strong_product([bidirected_cube(3), c3()]).graph)
+    seed = 40_000
+    while len(cases) < 13:
+        i = len(cases)
+        primes = [random_prime_digraph((2, 4), seed + j) for j in range(2 + i % 2)]
+        seed += 10
+        g = strong_product(primes).graph
+        if is_thin(g):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            cases.append(g.relabel(perm) if i % 2 else g)
+    max_k = proper_accepted = 0
+    for g in cases:
+        coords = _skeleton_coords(g)
+        k = len(coords[0])
+        max_k = max(max_k, k)
+        for size in range(1, k + 1):
+            for J in itertools.combinations(range(k), size):
+                arcs, a_count, b_count = _layer_product_arcs(g, coords, J)
+                found = verify_strong_grouping(g, coords, J)
+                assert (found is not None) == (arcs == g.arc_set), (g, J)
+                if found is not None:
+                    assert found[0].n * found[1].n == g.n
+                    assert (found[0].arc_count, found[1].arc_count) == (a_count, b_count)
+                    proper_accepted += size < k
+    assert max_k >= 3 and proper_accepted > 0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_bidirected_cube_is_strong_prime(k):
+    g = bidirected_cube(k)
+    assert len(_skeleton_coords(g)[0]) == k
+    f = strong_pfd(g)
+    assert len(f.factors) == 1 and f.factors[0].n == g.n
 
 
 def test_thin_pfd_round_trip_p2_p2():
