@@ -1,16 +1,30 @@
 #!/usr/bin/env python3
-"""Measure skeleton construction time on Cartesian powers of the single arc.
+"""Measure skeleton and Cartesian PFD time on large sparse digraphs.
 
-The family has |V| = 2^k vertices, k * 2^(k-1) arcs and total degree k at
-every vertex, so the per-arc work should stay near-linear in |E| with a
-polylog drift from the growing degree.  Prints one row per power and the
-ratio of consecutive times next to the ratio of consecutive arc counts.
+The first table times skeleton construction on Cartesian powers of the
+single arc.  The family has |V| = 2^k vertices, k * 2^(k-1) arcs and total
+degree k at every vertex, so the per-arc work should stay near-linear in |E|
+with a polylog drift from the growing degree.  It prints one row per power
+and the ratio of consecutive times next to the ratio of consecutive arc
+counts.
+
+The second table times cartesian_pfd on directed paths with seeded
+relabelled vertices and on directed hypercubes Q_k (Cartesian powers of the
+single arc).  Each row gives the wall time of one call and the tracemalloc
+peak of a second call, counting only that call's allocations.
+
+    PYTHONPATH=src python scripts/skeleton_scaling.py --min-k 6 --max-k 12
 """
 
 import argparse
+import random
 import time
+import tracemalloc
 
-from digraph_pfd import Digraph, cartesian_product, cartesian_skeleton
+from digraph_pfd import Digraph, cartesian_pfd, cartesian_product, cartesian_skeleton
+
+PFD_PATHS = (5000, 20000)
+PFD_CUBES = range(9, 13)
 
 
 def measure(k: int, repeats: int) -> tuple[int, int, float]:
@@ -23,8 +37,30 @@ def measure(k: int, repeats: int) -> tuple[int, int, float]:
     return g.n, g.arc_count, best
 
 
+def relabelled_path(n: int) -> Digraph:
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    return Digraph(n, [(perm[v], perm[v + 1]) for v in range(n - 1)])
+
+
+def time_and_peak(fn, g: Digraph) -> tuple[float, float]:
+    """Wall time in seconds and tracemalloc peak in MB of fn(g)."""
+    start = time.perf_counter()
+    fn(g)
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, peak / 2**20
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--min-k", type=int, default=6)
     parser.add_argument("--max-k", type=int, default=12)
     parser.add_argument("--repeats", type=int, default=3)
@@ -42,6 +78,14 @@ def main() -> None:
                 f" {t / prev[1]:>8.2f} {m / prev[0]:>8.2f}"
             )
         prev = (m, t)
+
+    rows = [(f"P{n}", relabelled_path(n)) for n in PFD_PATHS]
+    rows += [(f"Q{k}", cartesian_product([Digraph(2, [(0, 1)])] * k).graph) for k in PFD_CUBES]
+    print()
+    print(f"{'cartesian_pfd':<13} {'|V|':>6} {'|E|':>8} {'time':>10} {'peak':>10}")
+    for label, g in rows:
+        t, peak = time_and_peak(cartesian_pfd, g)
+        print(f"{label:<13} {g.n:>6} {g.arc_count:>8} {t * 1e3:>8.1f}ms {peak:>8.1f}MB")
 
 
 if __name__ == "__main__":

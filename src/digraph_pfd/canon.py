@@ -56,15 +56,16 @@ def _interchangeable(g: Digraph, cell: list[int]) -> bool:
     Covers both true twins (identical closed neighborhoods) and false twins
     such as isolated vertices: u and v swap cleanly iff they agree on all
     neighbors other than themselves and are symmetrically joined."""
+    out_m, in_m = g.out_mask, g.in_mask
     u = cell[0]
     bu = 1 << u
     for v in cell[1:]:
         clear = ~(bu | (1 << v))
-        if (g.out_mask[u] & clear) != (g.out_mask[v] & clear):
+        if (out_m[u] & clear) != (out_m[v] & clear):
             return False
-        if (g.in_mask[u] & clear) != (g.in_mask[v] & clear):
+        if (in_m[u] & clear) != (in_m[v] & clear):
             return False
-        if (g.out_mask[u] >> v) & 1 != (g.out_mask[v] >> u) & 1:
+        if (out_m[u] >> v) & 1 != (out_m[v] >> u) & 1:
             return False
     return True
 

@@ -2,13 +2,12 @@
 
 The undirected shadow is factored first: edges are merged by the equivalence
 closure of (a) opposite edges of any chordless square and (b) incident edges
-spanning zero or at least two chordless squares, and the resulting coloring
-is verified to be a genuine product coloring (merging further if it is not).
-Directions are then reconciled: whenever two parallel copies of a factor
-disagree on arc orientations across an edge of another factor, the two colors
-cannot belong to different factors and are merged; this repeats until no
-conflict remains, at which point the color classes are exactly the prime
-factors of the digraph.
+spanning zero or at least two chordless squares.  Directions are then
+reconciled: each round checks that the coloring is a product coloring, edge
+by edge, and whenever the two i-edges of a square with j-edges disagree on
+arc orientation, colors i and j cannot belong to different factors and are
+merged; this repeats until no conflict remains, at which point the color
+classes are exactly the prime factors of the digraph.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .digraph import Arc, Digraph, UndirectedGraph
+from .digraph import Digraph, UndirectedGraph
 from .errors import InvalidColoringError, NotConnectedError, ReconstructionError
 from .factorization import Factorization, reconstruct_cartesian
 
@@ -100,10 +99,17 @@ def _merge_colors(coloring: EdgeColoring, pairs) -> EdgeColoring:
 def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
     """Product coordinates induced by a coloring, or None when invalid.
 
-    Returns (positions, coords, factor_edges): positions[i] lists the
-    vertices of the factor-i layer through vertex 0, coords[v] gives the
-    position of v in every factor, and factor_edges[i] holds the factor-i
-    edges as position pairs.
+    Returns (positions, coords, gid, factor_edges): positions[i] lists the
+    vertices of the factor-i layer through vertex 0, coords[v][i] is the rank
+    in positions[i] of the projection of v onto that layer, gid[v] is the
+    mixed-radix grid id of coords[v] (last factor fastest), and
+    factor_edges[i] holds the factor-i edges as rank pairs.
+
+    An i-edge joins two vertices in the same non-j component for every
+    j != i, so it differs in coordinate i alone.  With the coordinates a
+    bijection onto the grid, the edges are exactly those of the product of
+    the factors once every i-edge lies along a factor-i edge and
+    |E| = sum_i |E_i| * n / |V_i|.
     """
     n = ug.n
     count = coloring.count
@@ -117,9 +123,8 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
         dsu = _DisjointSet(n)
         for u, v in by_color[i]:
             dsu.union(u, v)
-        layer = sorted(v for v in range(n) if dsu.find(v) == dsu.find(0))
-        positions.append(layer)
-        total *= len(layer)
+        positions.append([v for v in range(n) if dsu.find(v) == 0])
+        total *= len(positions[i])
     if total != n:
         return None
 
@@ -130,42 +135,41 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
             if j != i:
                 for u, v in by_color[j]:
                     dsu.union(u, v)
-        anchor: dict[int, list[int]] = {}
-        for p in positions[i]:
-            anchor.setdefault(dsu.find(p), []).append(p)
-        for v in range(n):
-            hits = anchor.get(dsu.find(v), ())
-            if len(hits) != 1:
+        rank: dict[int, int] = {}
+        for r, p in enumerate(positions[i]):
+            if rank.setdefault(dsu.find(p), r) != r:
                 return None
-            coords[v][i] = hits[0]
-    coord_tuples = tuple(tuple(c) for c in coords)
-    index = {c: v for v, c in enumerate(coord_tuples)}
-    if len(index) != n:
-        return None
+        for v in range(n):
+            r = rank.get(dsu.find(v))
+            if r is None:
+                return None
+            coords[v][i] = r
+
+    gid = [0] * n
+    vid = [-1] * n
+    for v, c in enumerate(coords):
+        x = 0
+        for i in range(count):
+            x = x * len(positions[i]) + c[i]
+        if vid[x] >= 0:
+            return None
+        gid[v] = x
+        vid[x] = v
 
     factor_edges: list[list[Edge]] = []
+    copies = 0
     for i in range(count):
         members = set(positions[i])
-        factor_edges.append(
-            sorted(e for e in by_color[i] if e[0] in members and e[1] in members)
-        )
-
-    expected = set()
-    for v in range(n):
-        c = coord_tuples[v]
-        for i in range(count):
-            for s, t in factor_edges[i]:
-                here = c[i]
-                if here == s:
-                    w = index[c[:i] + (t,) + c[i + 1 :]]
-                elif here == t:
-                    w = index[c[:i] + (s,) + c[i + 1 :]]
-                else:
-                    continue
-                expected.add((min(v, w), max(v, w)))
-    if expected != ug.edge_set:
+        inside = {(coords[u][i], coords[v][i]) for u, v in by_color[i] if u in members}
+        for u, v in by_color[i]:
+            s, t = coords[u][i], coords[v][i]
+            if (min(s, t), max(s, t)) not in inside:
+                return None
+        factor_edges.append(sorted(inside))
+        copies += len(inside) * (n // len(positions[i]))
+    if copies != len(ug.edges):
         return None
-    return positions, coord_tuples, factor_edges
+    return positions, coords, gid, factor_edges
 
 
 def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
@@ -175,17 +179,11 @@ def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
         raise NotConnectedError("undirected PFD requires a connected graph")
     if ug.n <= 1:
         return EdgeColoring({}, 0)
-    coloring = _closure_coloring(ug)
-    while _coordinatize(ug, coloring) is None:
-        # The square-relation closure of a connected graph is already a
-        # product coloring; this fallback only guards the theory.
-        coloring = _merge_colors(coloring, [(0, 1)])
-    return coloring
+    return _closure_coloring(ug)
 
 
-def _check_coloring(g: Digraph, coloring: EdgeColoring):
-    ug = g.underlying_undirected()
-    if set(coloring.colors) != set(ug.edges):
+def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
+    if coloring.colors.keys() != ug.edge_set:
         raise InvalidColoringError("coloring does not cover the underlying edges")
     placed = _coordinatize(ug, coloring)
     if placed is None:
@@ -193,34 +191,46 @@ def _check_coloring(g: Digraph, coloring: EdgeColoring):
     return placed
 
 
+def _conflicts(g: Digraph, ug: UndirectedGraph, coloring: EdgeColoring, placed):
+    """Sorted color pairs (i, j) such that some square of i- and j-edges has
+    its two i-edges oriented differently.  Every square is read once, at
+    its least corner v, where its fourth corner has grid id
+    gid[a] + gid[b] - gid[v] for the neighbours a and b of v on it."""
+    _, _, gid, _ = placed
+    vid = [0] * ug.n
+    for v, x in enumerate(gid):
+        vid[x] = v
+    arcs = g.arc_set
+    colors = coloring.colors
+    conflicts = set()
+    for v in range(ug.n):
+        up = [(a, colors[(v, a)]) for a in ug.adj[v] if a > v]
+        for k, (a, i) in enumerate(up):
+            for b, j in up[k + 1 :]:
+                if i == j:
+                    continue
+                c = vid[gid[a] + gid[b] - gid[v]]
+                if c < v:
+                    continue
+                if ((v, a) in arcs) != ((b, c) in arcs) or ((a, v) in arcs) != ((c, b) in arcs):
+                    conflicts.add((i, j))
+                if ((v, b) in arcs) != ((a, c) in arcs) or ((b, v) in arcs) != ((c, a) in arcs):
+                    conflicts.add((j, i))
+    return sorted(conflicts)
+
+
 def direction_conflicts(g: Digraph, coloring: EdgeColoring) -> list[tuple[int, int]]:
     """Color pairs (i, j) such that two copies of factor i adjacent along a
     j-edge differ as digraphs under the coordinate bijection."""
-    positions, coords, factor_edges = _check_coloring(g, coloring)
-    index = {c: v for v, c in enumerate(coords)}
-    conflicts = set()
-    for (u, w), j in coloring.colors.items():
-        cu, cw = coords[u], coords[w]
-        for i in range(coloring.count):
-            if i == j or (i, j) in conflicts:
-                continue
-            for s, t in factor_edges[i]:
-                au = index[cu[:i] + (s,) + cu[i + 1 :]]
-                bu = index[cu[:i] + (t,) + cu[i + 1 :]]
-                aw = index[cw[:i] + (s,) + cw[i + 1 :]]
-                bw = index[cw[:i] + (t,) + cw[i + 1 :]]
-                if (
-                    g.has_arc(au, bu) != g.has_arc(aw, bw)
-                    or g.has_arc(bu, au) != g.has_arc(bw, aw)
-                ):
-                    conflicts.add((i, j))
-                    break
-    return sorted(conflicts)
+    ug = g.underlying_undirected()
+    return _conflicts(g, ug, coloring, _check_coloring(ug, coloring))
 
 
 def cartesian_pfd(g: Digraph) -> Factorization:
     """Unique prime factorization of a connected digraph over the Cartesian
-    product: undirected PFD of the shadow, then direction-conflict merging."""
+    product: undirected PFD of the shadow, then direction-conflict merging.
+    Each merge round coordinatizes once; the factors are read from the
+    placement of the round that shows no conflict."""
     if not g.is_connected():
         raise NotConnectedError("cartesian PFD requires a connected graph")
     if g.n == 0:
@@ -230,32 +240,22 @@ def cartesian_pfd(g: Digraph) -> Factorization:
     ug = g.underlying_undirected()
     coloring = undirected_cartesian_pfd(ug)
     while True:
-        conflicts = direction_conflicts(g, coloring)
+        placed = _check_coloring(ug, coloring)
+        conflicts = _conflicts(g, ug, coloring, placed)
         if not conflicts:
             break
         coloring = _merge_colors(coloring, conflicts)
-    positions, coords, factor_edges = _coordinatize(ug, coloring)
+    positions, coords, _, factor_edges = placed
 
+    # The factor-i layer through vertex 0 holds positions[i] itself, so a
+    # factor arc is read straight off the arcs between those vertices.
+    arcs = g.arc_set
     factors = []
-    base = coords[0]
-    index = {c: v for v, c in enumerate(coords)}
-    for i in range(coloring.count):
-        rank = {p: r for r, p in enumerate(positions[i])}
-        arcs: list[Arc] = []
-        for s, t in factor_edges[i]:
-            a = index[base[:i] + (s,) + base[i + 1 :]]
-            b = index[base[:i] + (t,) + base[i + 1 :]]
-            if g.has_arc(a, b):
-                arcs.append((rank[s], rank[t]))
-            if g.has_arc(b, a):
-                arcs.append((rank[t], rank[s]))
-        factors.append(Digraph(len(positions[i]), arcs))
-
-    ranks = [{p: r for r, p in enumerate(positions[i])} for i in range(coloring.count)]
-    fcoords = tuple(
-        tuple(ranks[i][coords[v][i]] for i in range(coloring.count)) for v in range(g.n)
-    )
-    result = Factorization(tuple(factors), fcoords)
+    for layer, edges in zip(positions, factor_edges):
+        fa = [(s, t) for s, t in edges if (layer[s], layer[t]) in arcs]
+        fa += [(t, s) for s, t in edges if (layer[t], layer[s]) in arcs]
+        factors.append(Digraph(len(layer), fa))
+    result = Factorization(tuple(factors), tuple(map(tuple, coords)))
     if reconstruct_cartesian(result) != g:
         raise ReconstructionError("cartesian reconstruction mismatch")
     return result

@@ -3,9 +3,10 @@
 Vertices are dense integer ids 0..n-1 and every graph is immutable after
 construction.  Closed neighborhoods (the vertex itself plus its successors,
 respectively predecessors) are the workhorse of the whole package; they are
-exposed as frozensets and additionally cached as integer bitmasks so that the
-subset and intersection tests of the dispensability checks run in O(n/w) word
-operations.
+exposed as frozensets and as integer bitmasks so that the subset and
+intersection tests of the dispensability checks run in O(n/w) word
+operations.  The bitmasks take Theta(n^2) bits on sparse graphs, so they are
+built on first read.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ def _check_endpoint(v: int, n: int) -> None:
         raise VertexOutOfRangeError(f"vertex {v} outside 0..{n - 1}")
 
 
+def _closed_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    return tuple(sum(1 << w for w in nbrs) | 1 << v for v, nbrs in enumerate(adj))
+
+
 class Digraph:
     """Immutable loop-free digraph over vertices 0..n-1."""
 
-    __slots__ = ("n", "arcs", "arc_set", "out_adj", "in_adj", "out_mask", "in_mask")
+    __slots__ = ("n", "arcs", "arc_set", "out_adj", "in_adj", "_out_mask", "_in_mask")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
@@ -40,21 +45,29 @@ class Digraph:
             arc_set.add((u, v))
         out_lists: list[list[int]] = [[] for _ in range(n)]
         in_lists: list[list[int]] = [[] for _ in range(n)]
-        out_mask = [1 << v for v in range(n)]
-        in_mask = list(out_mask)
         for u, v in arc_set:
             out_lists[u].append(v)
             in_lists[v].append(u)
-            out_mask[u] |= 1 << v
-            in_mask[v] |= 1 << u
         self.n = n
         self.arcs: tuple[Arc, ...] = tuple(sorted(arc_set))
         self.arc_set = frozenset(arc_set)
         self.out_adj = tuple(tuple(sorted(vs)) for vs in out_lists)
         self.in_adj = tuple(tuple(sorted(vs)) for vs in in_lists)
-        # Closed neighborhood bitmasks; bit v of out_mask[v] is always set.
-        self.out_mask = tuple(out_mask)
-        self.in_mask = tuple(in_mask)
+        self._out_mask = self._in_mask = None
+
+    @property
+    def out_mask(self) -> tuple[int, ...]:
+        """Closed out-neighborhood bitmasks; bit v of out_mask[v] is set."""
+        if self._out_mask is None:
+            self._out_mask = _closed_masks(self.out_adj)
+        return self._out_mask
+
+    @property
+    def in_mask(self) -> tuple[int, ...]:
+        """Closed in-neighborhood bitmasks; bit v of in_mask[v] is set."""
+        if self._in_mask is None:
+            self._in_mask = _closed_masks(self.in_adj)
+        return self._in_mask
 
     @property
     def arc_count(self) -> int:
@@ -63,7 +76,7 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         _check_endpoint(u, self.n)
         _check_endpoint(v, self.n)
-        return u != v and (self.out_mask[u] >> v) & 1 == 1
+        return (u, v) in self.arc_set
 
     def out_nbhd(self, v: int) -> frozenset[int]:
         """Closed out-neighborhood: v together with its successors."""

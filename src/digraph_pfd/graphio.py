@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .digraph import Arc, Digraph
-from .errors import ArityMismatchError, LoopArcError, ParseError, VertexOutOfRangeError
+from .errors import ArityMismatchError, LoopArcError, ParseError
+from .errors import SizeLimitExceededError, VertexOutOfRangeError
 from .products import CoordGraph, classify_edge
 
 _DOT_PALETTE = (
@@ -24,6 +25,10 @@ _DOT_PALETTE = (
     "brown",
     "cadetblue",
 )
+
+# Largest vertex count a header may declare; checked before anything is
+# allocated for the graph.
+MAX_VERTICES = 1_000_000
 
 
 def parse_edge_list(text: str) -> Digraph:
@@ -44,6 +49,10 @@ def parse_edge_list(text: str) -> Digraph:
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be non-negative", line=lineno)
+            if a > MAX_VERTICES:
+                raise SizeLimitExceededError(
+                    f"line {lineno}: header declares {a} vertices, limit {MAX_VERTICES}"
+                )
             header = (a, b)
             continue
         n = header[0]

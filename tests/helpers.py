@@ -7,6 +7,8 @@ from digraph_pfd import (
     s_partition,
     strong_product,
 )
+from digraph_pfd.cartesian_pfd import _closure_coloring, _DisjointSet, _merge_colors
+from digraph_pfd.errors import InvalidColoringError
 
 
 def p2() -> Digraph:
@@ -49,6 +51,26 @@ def conflict_square() -> Digraph:
     return Digraph(4, [(0, 2), (3, 1), (0, 1), (2, 3)])
 
 
+def undirected_shape(rng):
+    """A path or cycle on 2-4 vertices with both arcs on every edge."""
+    n = 2 + rng.below(3)
+    ring = n > 2 and rng.below(2)
+    edges = [(v, (v + 1) % n) for v in range(n if ring else n - 1)]
+    return Digraph(n, edges + [(v, u) for u, v in edges])
+
+
+def random_orientation(g, rng):
+    """The shadow of g with each edge given one arc or both, drawn from rng."""
+    arcs = []
+    for u, v in g.underlying_undirected().edges:
+        state = 1 + rng.below(3)  # bit 0: u -> v, bit 1: v -> u
+        if state & 1:
+            arcs.append((u, v))
+        if state & 2:
+            arcs.append((v, u))
+    return Digraph(g.n, arcs)
+
+
 def factor_forms(factors):
     """Multiset (sorted tuple) of canonical forms, for up-to-iso comparison."""
     return sorted(canonical_form(f) for f in factors)
@@ -88,3 +110,147 @@ def quotient_product_mapping(a, b):
         x, y = prod.coords[members[0]]
         mapping.append(pa.class_of[x] * nb + pb.class_of[y])
     return mapping
+
+
+# Reference Cartesian checks: the quadratic loops that cartesian_pfd used
+# before its per-edge coordinate check and local-square conflict test.  The
+# equivalence tests compare the two on every graph set they draw.
+
+
+def reference_coordinatize(ug, coloring):
+    """(positions, coords, factor_edges) with coords and factor edges as
+    vertex ids of the layers through vertex 0, or None; the coloring is
+    accepted when the product edges it predicts, built in O(n * |E_i|),
+    equal the edges of ug."""
+    n = ug.n
+    count = coloring.count
+    by_color = [[] for _ in range(count)]
+    for e, i in coloring.colors.items():
+        by_color[i].append(e)
+
+    positions = []
+    total = 1
+    for i in range(count):
+        dsu = _DisjointSet(n)
+        for u, v in by_color[i]:
+            dsu.union(u, v)
+        layer = sorted(v for v in range(n) if dsu.find(v) == dsu.find(0))
+        positions.append(layer)
+        total *= len(layer)
+    if total != n:
+        return None
+
+    coords = [[0] * count for _ in range(n)]
+    for i in range(count):
+        dsu = _DisjointSet(n)
+        for j in range(count):
+            if j != i:
+                for u, v in by_color[j]:
+                    dsu.union(u, v)
+        anchor = {}
+        for p in positions[i]:
+            anchor.setdefault(dsu.find(p), []).append(p)
+        for v in range(n):
+            hits = anchor.get(dsu.find(v), ())
+            if len(hits) != 1:
+                return None
+            coords[v][i] = hits[0]
+    coord_tuples = tuple(tuple(c) for c in coords)
+    index = {c: v for v, c in enumerate(coord_tuples)}
+    if len(index) != n:
+        return None
+
+    factor_edges = []
+    for i in range(count):
+        members = set(positions[i])
+        factor_edges.append(
+            sorted(e for e in by_color[i] if e[0] in members and e[1] in members)
+        )
+
+    expected = set()
+    for v in range(n):
+        c = coord_tuples[v]
+        for i in range(count):
+            for s, t in factor_edges[i]:
+                here = c[i]
+                if here == s:
+                    w = index[c[:i] + (t,) + c[i + 1 :]]
+                elif here == t:
+                    w = index[c[:i] + (s,) + c[i + 1 :]]
+                else:
+                    continue
+                expected.add((min(v, w), max(v, w)))
+    if expected != ug.edge_set:
+        return None
+    return positions, coord_tuples, factor_edges
+
+
+def _reference_placement(g, coloring):
+    ug = g.underlying_undirected()
+    if set(coloring.colors) != set(ug.edges):
+        raise InvalidColoringError("coloring does not cover the underlying edges")
+    placed = reference_coordinatize(ug, coloring)
+    if placed is None:
+        raise InvalidColoringError("coloring is not a product coloring")
+    return placed
+
+
+def reference_direction_conflicts(g, coloring):
+    """Conflicting color pairs by the O(m * |E_i|) loop: every j-edge
+    against every factor-i edge."""
+    positions, coords, factor_edges = _reference_placement(g, coloring)
+    index = {c: v for v, c in enumerate(coords)}
+    conflicts = set()
+    for (u, w), j in coloring.colors.items():
+        cu, cw = coords[u], coords[w]
+        for i in range(coloring.count):
+            if i == j or (i, j) in conflicts:
+                continue
+            for s, t in factor_edges[i]:
+                au = index[cu[:i] + (s,) + cu[i + 1 :]]
+                bu = index[cu[:i] + (t,) + cu[i + 1 :]]
+                aw = index[cw[:i] + (s,) + cw[i + 1 :]]
+                bw = index[cw[:i] + (t,) + cw[i + 1 :]]
+                if (
+                    g.has_arc(au, bu) != g.has_arc(aw, bw)
+                    or g.has_arc(bu, au) != g.has_arc(bw, aw)
+                ):
+                    conflicts.add((i, j))
+                    break
+    return sorted(conflicts)
+
+
+def reference_cartesian_pfd(g):
+    """(factors, coords) as cartesian_pfd computed them with the reference
+    checks; g is connected with at least two vertices."""
+    ug = g.underlying_undirected()
+    coloring = _closure_coloring(ug)
+    while reference_coordinatize(ug, coloring) is None:
+        coloring = _merge_colors(coloring, [(0, 1)])
+    while True:
+        conflicts = reference_direction_conflicts(g, coloring)
+        if not conflicts:
+            break
+        coloring = _merge_colors(coloring, conflicts)
+    positions, coords, factor_edges = _reference_placement(g, coloring)
+
+    factors = []
+    base = coords[0]
+    index = {c: v for v, c in enumerate(coords)}
+    for i in range(coloring.count):
+        rank = {p: r for r, p in enumerate(positions[i])}
+        arcs = []
+        for s, t in factor_edges[i]:
+            a = index[base[:i] + (s,) + base[i + 1 :]]
+            b = index[base[:i] + (t,) + base[i + 1 :]]
+            if g.has_arc(a, b):
+                arcs.append((rank[s], rank[t]))
+            if g.has_arc(b, a):
+                arcs.append((rank[t], rank[s]))
+        factors.append(Digraph(len(positions[i]), arcs))
+
+    ranks = [{p: r for r, p in enumerate(positions[i])} for i in range(coloring.count)]
+    fcoords = tuple(
+        tuple(ranks[i][coords[v][i]] for i in range(coloring.count)) for v in range(g.n)
+    )
+    return tuple(factors), fcoords

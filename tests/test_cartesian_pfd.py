@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +17,7 @@ from digraph_pfd import (
 )
 from digraph_pfd.cartesian_pfd import EdgeColoring
 from digraph_pfd.errors import InvalidColoringError, NotConnectedError
+from digraph_pfd.oracle import SplitMix64
 
 from helpers import c3, conflict_square, factor_forms, k1, p2
 from strategies import connected_digraphs, graph_with_permutation
@@ -183,3 +187,35 @@ def test_digraph_colors_refine_undirected_colors(a, b):
             arc_factor[e] for e, c in undirected.colors.items() if c == color
         }
         assert len(targets) == 1
+
+
+def _relabelled_path(n, seed):
+    perm = list(range(n))
+    SplitMix64(seed).shuffle(perm)
+    return Digraph(n, [(perm[v], perm[v + 1]) for v in range(n - 1)])
+
+
+def _best_seconds(g, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        cartesian_pfd(g)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_near_linear_on_relabelled_paths():
+    small, large = _relabelled_path(500, 1), _relabelled_path(4000, 2)
+    time_ratio = _best_seconds(large) / _best_seconds(small)
+    arc_ratio = large.arc_count / small.arc_count
+    assert time_ratio <= 3 * arc_ratio, (
+        f"time ratio {time_ratio:.1f} exceeds 3x arc ratio {arc_ratio:.1f}"
+    )
+    g = _relabelled_path(20000, 3)
+    tracemalloc.start()
+    try:
+        cartesian_pfd(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -4,6 +4,7 @@ import pytest
 
 from digraph_pfd import parse_edge_list, serialize_edge_list, strong_product
 from digraph_pfd.cli import main
+from digraph_pfd.graphio import MAX_VERTICES
 
 from helpers import c3, k2, p2
 
@@ -158,6 +159,13 @@ def test_dot_subcommand(tmp_path, capsys):
 def test_missing_file_is_error(tmp_path, capsys):
     assert main(["factor", str(tmp_path / "nope.txt")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_factor_rejects_header_above_vertex_limit(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{MAX_VERTICES + 1} 0\n", encoding="utf-8")
+    assert main(["factor", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_usage_error_exits_2():

@@ -12,8 +12,10 @@ from digraph_pfd.errors import (
     ArityMismatchError,
     LoopArcError,
     ParseError,
+    SizeLimitExceededError,
     VertexOutOfRangeError,
 )
+from digraph_pfd.graphio import MAX_VERTICES
 
 from helpers import p2
 from strategies import digraphs
@@ -89,3 +91,8 @@ def test_dot_with_skeleton_overlay():
 def test_dot_deterministic():
     cg = strong_product([p2(), p2()])
     assert export_dot(cg) == export_dot(strong_product([p2(), p2()]))
+
+
+def test_header_above_vertex_limit_rejected():
+    with pytest.raises(SizeLimitExceededError, match="line 1"):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
