@@ -14,7 +14,13 @@ from .cartesian_pfd import (
     undirected_cartesian_pfd,
 )
 from .digraph import Digraph, UndirectedGraph, complete_digraph
-from .factorization import Factorization, reconstruct_cartesian, reconstruct_strong
+from .factorization import (
+    Factorization,
+    is_cartesian_product,
+    is_strong_product,
+    reconstruct_cartesian,
+    reconstruct_strong,
+)
 from .graphio import export_dot, parse_edge_list, serialize_edge_list
 from .oracle import (
     OracleConfig,
@@ -72,7 +78,9 @@ __all__ = [
     "export_dot",
     "extract_complete_factor",
     "gcd_multiplicity",
+    "is_cartesian_product",
     "is_isomorphic",
+    "is_strong_product",
     "is_thin",
     "layer",
     "n_condition",

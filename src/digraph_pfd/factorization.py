@@ -1,11 +1,13 @@
-"""Factorization records and exact reconstruction checks."""
+"""Factorization records, product certificates and exact reconstructions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .digraph import Arc, Digraph
+from .digraph import Digraph
 from .errors import VertexOutOfRangeError
+from .products import CoordGraph, cartesian_product, strong_product
 
 
 @dataclass(frozen=True)
@@ -22,33 +24,80 @@ class Factorization:
 
 
 def _vertex_index(f: Factorization) -> dict[tuple[int, ...], int]:
+    """The vertex at every grid point; raises VertexOutOfRangeError unless the
+    coordinates are a bijection onto the grid of the factors' vertex sets."""
+    sizes = [h.n for h in f.factors]
     index = {c: v for v, c in enumerate(f.coords)}
-    if len(index) != len(f.coords):
-        raise VertexOutOfRangeError("coordinate map is not a bijection")
+    if any(len(c) != len(sizes) for c in index) or not all(
+        0 <= min(column) and max(column) < s for column, s in zip(zip(*index), sizes)
+    ):
+        raise VertexOutOfRangeError("coordinates lie off the factor grid")
+    if len(index) != len(f.coords) or len(index) != math.prod(sizes):
+        raise VertexOutOfRangeError("coordinate map is not a bijection onto the factor grid")
     return index
+
+
+def is_strong_product(g: Digraph, f: Factorization) -> bool:
+    """Certificate that g is the strong product of f's factors under f's
+    coordinates, in O(m k) without building the product.
+
+    With the coordinates a bijection onto the grid, N+[v] is the product of
+    the factor neighbourhoods N+_j[c_j(v)] exactly when every out-neighbour
+    w of v has c_j(w) in N+_j[c_j(v)] for every j and |N+[v]| is the
+    product of their sizes.
+    """
+    _vertex_index(f)
+    if g.n != len(f.coords):
+        return False
+    size = [1] * g.n
+    for h, column in zip(f.factors, zip(*f.coords)):
+        closed = [frozenset((x,) + h.out_adj[x]) for x in range(h.n)]
+        for v, x in enumerate(column):
+            if not closed[x].issuperset(map(column.__getitem__, g.out_adj[v])):
+                return False
+            size[v] *= len(closed[x])
+    return all(len(out) + 1 == s for out, s in zip(g.out_adj, size))
+
+
+def is_cartesian_product(g: Digraph, f: Factorization) -> bool:
+    """Certificate that g is the Cartesian product of f's factors under f's
+    coordinates, in O(m k) without building the product.
+
+    With the coordinates a bijection onto the grid, the out-neighbours of v
+    are its Cartesian ones exactly when outdeg(v) = sum_j outdeg_j(c_j(v))
+    and every out-neighbour w differs from v in one coordinate j alone,
+    along a factor-j arc.  Every w differs in some coordinate, so it is
+    enough that c_j(w) lies in N+_j[c_j(v)] for every j and that the
+    coordinates moved, summed over the out-neighbours, number outdeg(v).
+    """
+    _vertex_index(f)
+    if g.n != len(f.coords):
+        return False
+    moved = [0] * g.n
+    degree = [0] * g.n
+    for h, column in zip(f.factors, zip(*f.coords)):
+        closed = [frozenset((x,) + h.out_adj[x]) for x in range(h.n)]
+        for v, x in enumerate(column):
+            ys = list(map(column.__getitem__, g.out_adj[v]))
+            if not closed[x].issuperset(ys):
+                return False
+            moved[v] += len(ys) - ys.count(x)
+            degree[v] += len(closed[x]) - 1
+    return all(len(out) == m == d for out, m, d in zip(g.out_adj, moved, degree))
+
+
+def _over_input(cg: CoordGraph, f: Factorization) -> Digraph:
+    """The product graph cg relabelled onto the vertices that f places at
+    its coordinates."""
+    index = _vertex_index(f)
+    return cg.graph.relabel([index[c] for c in cg.coords])
 
 
 def reconstruct_strong(f: Factorization) -> Digraph:
     """Strong product of the factors, expressed over the original vertex ids."""
-    index = _vertex_index(f)
-    closed = [[(v,) + g.out_adj[v] for v in range(g.n)] for g in f.factors]
-    arcs: list[Arc] = []
-    for v, c in enumerate(f.coords):
-        stack: list[tuple[int, ...]] = [()]
-        for j in range(len(f.factors)):
-            stack = [prefix + (w,) for prefix in stack for w in closed[j][c[j]]]
-        for nb in stack:
-            if nb != c:
-                arcs.append((v, index[nb]))
-    return Digraph(len(f.coords), arcs)
+    return _over_input(strong_product(f.factors), f)
 
 
 def reconstruct_cartesian(f: Factorization) -> Digraph:
     """Cartesian product of the factors, expressed over the original ids."""
-    index = _vertex_index(f)
-    arcs: list[Arc] = []
-    for v, c in enumerate(f.coords):
-        for j, g in enumerate(f.factors):
-            for w in g.out_adj[c[j]]:
-                arcs.append((v, index[c[:j] + (w,) + c[j + 1 :]]))
-    return Digraph(len(f.coords), arcs)
+    return _over_input(cartesian_product(f.factors), f)

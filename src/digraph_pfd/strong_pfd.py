@@ -15,10 +15,11 @@ import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cartesian_pfd import cartesian_pfd
-from .digraph import Arc, Digraph, complete_digraph
+from .digraph import Digraph, complete_digraph
 from .errors import NotConnectedError, NotThinError, ReconstructionError
-from .factorization import Factorization, reconstruct_strong
-from .products import strong_product
+from .factorization import Factorization, is_strong_product
+from .factorization import reconstruct_strong  # noqa: F401  pfdbench/tracing.py hooks this name
+from .products import _strides, strong_product
 from .relations import blowup, is_thin, quotient, s_partition
 from .skeleton import cartesian_skeleton
 
@@ -29,11 +30,18 @@ def _project(x: Sequence[int], idx: Iterable[int]) -> tuple[int, ...]:
     return tuple(x[i] for i in idx)
 
 
-def _ravel(tup: Sequence[int], sizes: Sequence[int]) -> int:
-    vid = 0
-    for c, s in zip(tup, sizes):
-        vid = vid * s + c
-    return vid
+def _layer(
+    g: Digraph, coords: Coords, sizes: Sequence[int], idx: Sequence[int]
+) -> tuple[Digraph, list[int]]:
+    """Induced layer through vertex 0 over the idx coordinates, labelled by
+    the row-major rank of the idx projection, and that rank for every vertex."""
+    others = [j for j in range(len(sizes)) if j not in idx]
+    strides = _strides([sizes[j] for j in idx])
+    rank = [sum(c[j] * s for j, s in zip(idx, strides)) for c in coords]
+    base = _project(coords[0], others)
+    members = {v for v, c in enumerate(coords) if _project(c, others) == base}
+    arcs = [(rank[u], rank[w]) for u in members for w in g.out_adj[u] if w in members]
+    return Digraph(math.prod(sizes[j] for j in idx), arcs), rank
 
 
 def verify_strong_grouping(
@@ -45,9 +53,8 @@ def verify_strong_grouping(
     B the complement layer; the pair is returned iff g equals A boxtimes B
     arc-for-arc under the projection pair, else None.
 
-    The check runs vertex by vertex: the closed out-neighbourhood of v must
-    be exactly the product of v's closed neighbourhoods in A and B.  Vertex 0
-    is tested first, before any O(n) work, with A_0 (B_0) taken as the
+    The full check is is_strong_product on the two layers.  Vertex 0 is
+    tested first, before any O(n) work, with A_0 (B_0) taken as the
     projections of the members of N+[0] that keep vertex 0's complement (J)
     coordinates; for a bijective coordinate map onto a grid, which
     cartesian_pfd returns, these are exactly its neighbourhoods in the two
@@ -59,80 +66,21 @@ def verify_strong_grouping(
         return None
     c_idx = tuple(j for j in range(k) if j not in j_idx)
 
-    def product_at(v: int, a: set, b: set, fj: Callable, fc: Callable) -> bool:
-        """N+[v] is a x b under the projections fj, fc of a bijective map."""
-        closed = (v,) + g.out_adj[v]
-        return len(closed) == len(a) * len(b) and all(
-            fj(w) in a and fc(w) in b for w in closed
-        )
-
-    def pj(v: int) -> tuple[int, ...]:
-        return _project(coords[v], j_idx)
-
-    def pc(v: int) -> tuple[int, ...]:
-        return _project(coords[v], c_idx)
-
-    base_j, base_c = pj(0), pc(0)
-    closed0 = (0,) + g.out_adj[0]
-    a0 = {pj(w) for w in closed0 if pc(w) == base_c}
-    b0 = {pc(w) for w in closed0 if pj(w) == base_j}
-    if not product_at(0, a0, b0, pj, pc):
-        return None
-
-    proj_j = [pj(v) for v in range(g.n)]
-    proj_c = [pc(v) for v in range(g.n)]
-    lay_a = {proj_j[v]: v for v in range(g.n) if proj_c[v] == base_c}
-    lay_b = {proj_c[v]: v for v in range(g.n) if proj_j[v] == base_j}
-    a_closed = {t: {t} for t in lay_a}
-    for t, v in lay_a.items():
-        a_closed[t].update(proj_j[w] for w in g.out_adj[v] if proj_c[w] == base_c)
-    b_closed = {t: {t} for t in lay_b}
-    for t, v in lay_b.items():
-        b_closed[t].update(proj_c[w] for w in g.out_adj[v] if proj_j[w] == base_j)
-
-    fj, fc = proj_j.__getitem__, proj_c.__getitem__
-    if not all(
-        product_at(v, a_closed[fj(v)], b_closed[fc(v)], fj, fc) for v in range(g.n)
-    ):
+    closed0 = [
+        (_project(coords[w], j_idx), _project(coords[w], c_idx)) for w in (0,) + g.out_adj[0]
+    ]
+    base_j, base_c = closed0[0]
+    a0 = {pj for pj, pc in closed0 if pc == base_c}
+    b0 = {pc for pj, pc in closed0 if pj == base_j}
+    if len(closed0) != len(a0) * len(b0) or not all(pj in a0 and pc in b0 for pj, pc in closed0):
         return None
 
     sizes = [max(c[j] for c in coords) + 1 for j in range(k)]
-    sizes_j = [sizes[j] for j in j_idx]
-    sizes_c = [sizes[j] for j in c_idx]
-    arcs_a = [
-        (_ravel(t, sizes_j), _ravel(s, sizes_j))
-        for t, others in a_closed.items()
-        for s in others
-        if s != t
-    ]
-    arcs_b = [
-        (_ravel(t, sizes_c), _ravel(s, sizes_c))
-        for t, others in b_closed.items()
-        for s in others
-        if s != t
-    ]
-    return Digraph(len(lay_a), arcs_a), Digraph(len(lay_b), arcs_b)
-
-
-def _group_layer(g: Digraph, coords: Coords, sizes, J) -> Digraph:
-    """Induced layer through vertex 0 over the J coordinates, labeled by the
-    row-major rank of the J projection."""
-    j_idx = tuple(sorted(J))
-    c_idx = tuple(j for j in range(len(sizes)) if j not in j_idx)
-    sizes_j = [sizes[j] for j in j_idx]
-    base_c = tuple(coords[0][j] for j in c_idx)
-    members = {
-        v: _ravel(tuple(coords[v][j] for j in j_idx), sizes_j)
-        for v in range(g.n)
-        if tuple(coords[v][j] for j in c_idx) == base_c
-    }
-    arcs: list[Arc] = [
-        (members[u], members[w])
-        for u in members
-        for w in g.out_adj[u]
-        if w in members
-    ]
-    return Digraph(math.prod(sizes_j), arcs)
+    a, rank_a = _layer(g, coords, sizes, j_idx)
+    b, rank_b = _layer(g, coords, sizes, c_idx)
+    if not is_strong_product(g, Factorization((a, b), tuple(zip(rank_a, rank_b)))):
+        return None
+    return a, b
 
 
 def _greedy_groups(
@@ -178,17 +126,10 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
         lambda J, rest: verify_strong_grouping(g, coords, J) is not None,
     )
 
-    factors = tuple(_group_layer(g, coords, sizes, J) for J in groups)
-    fcoords = tuple(
-        tuple(
-            _ravel(tuple(coords[v][j] for j in J), [sizes[j] for j in J])
-            for J in groups
-        )
-        for v in range(g.n)
-    )
-    result = Factorization(factors, fcoords)
-    if reconstruct_strong(result) != g:
-        raise ReconstructionError("strong reconstruction mismatch")
+    factors, ranks = zip(*(_layer(g, coords, sizes, J) for J in groups))
+    result = Factorization(factors, tuple(zip(*ranks)))
+    if not is_strong_product(g, result):
+        raise ReconstructionError("result is not the strong product of its factors")
     return result
 
 
@@ -223,6 +164,8 @@ def strong_pfd(g: Digraph) -> Factorization:
     then accept exactly the index groups whose class sizes multiply back."""
     if not g.is_connected():
         raise NotConnectedError("strong PFD requires a connected graph")
+    if g.n == 0:
+        return Factorization((), ())
     if g.n == 1:
         return Factorization((g,), ((0,),))
 
@@ -235,7 +178,7 @@ def strong_pfd(g: Digraph) -> Factorization:
     group_mults: list[dict[tuple[int, ...], int]] = []
     group_sets: list[tuple[int, ...]] = []
     group_factors: list[Digraph] = []
-    group_offsets: list[list[int]] = []
+    group_offsets: list[dict[tuple[int, ...], int]] = []
     coords_h: Coords = ((),) * h.n
     if h.n > 1:
         thin_f = strong_pfd_thin(h)
@@ -257,17 +200,12 @@ def strong_pfd(g: Digraph) -> Factorization:
         for J, d_j in zip(group_sets, group_mults):
             prod_j = strong_product([thin_f.factors[j] for j in J])
             block_mult = [d_j[c] for c in prod_j.coords]
-            offsets = [0] * len(block_mult)
-            run = 0
-            for i, m in enumerate(block_mult):
-                offsets[i] = run
-                run += m
             group_factors.append(blowup(prod_j.graph, block_mult))
-            group_offsets.append(offsets)
+            starts = itertools.accumulate(block_mult, initial=0)
+            group_offsets.append(dict(zip(prod_j.coords, starts)))
 
     factors = tuple(group_factors) + tuple(complete_digraph(p) for p in primes)
 
-    sizes_h = [max(c[j] for c in coords_h) + 1 for j in range(len(coords_h[0]))] if h.n > 1 else []
     rank_in_class = {}
     for members in part.classes:
         for r, v in enumerate(members):
@@ -278,10 +216,9 @@ def strong_pfd(g: Digraph) -> Factorization:
         r = rank_in_class[v]
         coord = []
         for J, d_j, offsets in zip(group_sets, group_mults, group_offsets):
-            proj = tuple(x[j] for j in J)
-            block = _ravel(proj, [sizes_h[j] for j in J])
+            proj = _project(x, J)
             m = d_j[proj]
-            coord.append(offsets[block] + r % m)
+            coord.append(offsets[proj] + r % m)
             r //= m
         for p in primes:
             coord.append(r % p)
@@ -289,6 +226,6 @@ def strong_pfd(g: Digraph) -> Factorization:
         fcoords.append(tuple(coord))
 
     result = Factorization(factors, tuple(fcoords))
-    if reconstruct_strong(result) != g:
-        raise ReconstructionError("strong reconstruction mismatch")
+    if not is_strong_product(g, result):
+        raise ReconstructionError("result is not the strong product of its factors")
     return result

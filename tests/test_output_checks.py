@@ -1,8 +1,10 @@
 """Every returned factorization is checked against its input by code that
-`python -O` keeps, and the empty graph has one contract for both products."""
+`python -O` keeps, the product certificates agree with rebuilding the
+product, and the empty graph has one contract for both products."""
 
 import importlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,40 +18,46 @@ from digraph_pfd import (
     Factorization,
     cartesian_pfd,
     cartesian_product,
+    complete_digraph,
+    is_cartesian_product,
+    is_strong_product,
+    random_connected_digraph,
+    reconstruct_cartesian,
+    reconstruct_strong,
     strong_pfd,
     strong_product,
 )
 from digraph_pfd.cli import main
-from digraph_pfd.errors import ReconstructionError
+from digraph_pfd.errors import GraphError, ReconstructionError, VertexOutOfRangeError
 
 from helpers import c3, p2
 
-# (module, reconstruction it looks up, factorizer, input)
+# (module, product certificate it looks up, factorizer, input)
 CASES = [
     (
         "digraph_pfd.strong_pfd",
-        "reconstruct_strong",
+        "is_strong_product",
         "strong_pfd",
         strong_product([p2(), c3()]).graph,
     ),
     (
         "digraph_pfd.cartesian_pfd",
-        "reconstruct_cartesian",
+        "is_cartesian_product",
         "cartesian_pfd",
         cartesian_product([p2(), c3()]).graph,
     ),
 ]
 
 
-def _arcless(f: Factorization) -> Digraph:
-    """A wrong reconstruction: the right vertex count, no arcs."""
-    return Digraph(len(f.coords))
+def _reject(g: Digraph, f: Factorization) -> bool:
+    """A certificate that fails every factorization."""
+    return False
 
 
 @pytest.mark.parametrize("module, attr, fn, g", CASES, ids=[c[2] for c in CASES])
 def test_wrong_reconstruction_raises(monkeypatch, module, attr, fn, g):
     mod = importlib.import_module(module)
-    monkeypatch.setattr(mod, attr, _arcless)
+    monkeypatch.setattr(mod, attr, _reject)
     with pytest.raises(ReconstructionError):
         getattr(mod, fn)(g)
 
@@ -59,13 +67,13 @@ def test_wrong_reconstruction_raises_under_optimize():
         """
         import importlib, sys
         from digraph_pfd.errors import ReconstructionError
-        from test_output_checks import CASES, _arcless
+        from test_output_checks import CASES, _reject
 
         if __debug__:
             sys.exit("asserts are on; the checks must be run under -O")
         for module, attr, fn, g in CASES:
             mod = importlib.import_module(module)
-            setattr(mod, attr, _arcless)
+            setattr(mod, attr, _reject)
             try:
                 getattr(mod, fn)(g)
             except ReconstructionError:
@@ -88,3 +96,76 @@ def test_empty_graph_has_no_factors(tmp_path, capsys, kind, factorize):
     path.write_text("0 0\n", encoding="utf-8")
     assert main(["factor", "--kind", kind, str(path)]) == 0
     assert capsys.readouterr().out == "0\n---\n"
+
+
+# (product, its certificate, its reconstruction)
+KINDS = [
+    (strong_product, is_strong_product, reconstruct_strong),
+    (cartesian_product, is_cartesian_product, reconstruct_cartesian),
+]
+
+
+def _holds(check) -> bool:
+    """The verdict of check(), with a GraphError counting as False."""
+    try:
+        return check()
+    except GraphError:
+        return False
+
+
+def _mutants(g: Digraph, f: Factorization, rng: random.Random):
+    """g and f as they are, then one mutation of each kind."""
+    yield g, f
+    yield Digraph(g.n, g.arc_set - {rng.choice(g.arcs)}), f
+    u, w = rng.sample(range(g.n), 2)
+    yield Digraph(g.n, g.arc_set | {(u, w)}), f
+    yield Digraph(g.n + 1, g.arcs), f
+    coords = list(f.coords)
+    coords[u], coords[w] = coords[w], coords[u]
+    yield g, Factorization(f.factors, tuple(coords))
+    j = rng.randrange(len(f.factors))
+    h = f.factors[j]
+    x, y = rng.sample(range(h.n), 2)
+    toggled = Digraph(h.n, h.arc_set ^ {(x, y)})
+    yield g, Factorization(f.factors[:j] + (toggled,) + f.factors[j + 1 :], f.coords)
+    off = list(f.coords[u])
+    off[j] = h.n
+    yield g, Factorization(f.factors, f.coords[:u] + (tuple(off),) + f.coords[u + 1 :])
+    yield g, Factorization(f.factors, f.coords[:u] + (f.coords[w],) + f.coords[u + 1 :])
+
+
+def test_certificate_agrees_with_reconstruction():
+    verdicts = []
+    for seed in range(320):
+        rng = random.Random(seed)
+        product = KINDS[seed % 2][0]
+        factors = [random_connected_digraph((2, 4), 10 * seed + j) for j in range(1 + seed % 3)]
+        cg = product(factors)
+        perm = list(range(cg.graph.n))
+        rng.shuffle(perm)
+        coords = [()] * len(perm)
+        for v, c in enumerate(cg.coords):
+            coords[perm[v]] = c
+        f = Factorization(cg.factors, tuple(coords))
+        for g, f in _mutants(cg.graph.relabel(perm), f, rng):
+            for _, certify, reconstruct in KINDS:
+                verdict = _holds(lambda: certify(g, f))
+                assert verdict == _holds(lambda: reconstruct(f) == g), (seed, g, f)
+                verdicts.append(verdict)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+K2 = complete_digraph(2)
+OFF_GRID = [
+    Factorization((K2, K2), ((0, 0), (0, 1), (1, 0))),
+    Factorization((K2,), ((0,), (5,))),
+]
+
+
+@pytest.mark.parametrize("f", OFF_GRID, ids=["uncovered", "out_of_range"])
+@pytest.mark.parametrize("_, certify, reconstruct", KINDS, ids=["strong", "cartesian"])
+def test_coordinates_off_the_grid_raise(f, _, certify, reconstruct):
+    with pytest.raises(VertexOutOfRangeError):
+        reconstruct(f)
+    with pytest.raises(VertexOutOfRangeError):
+        certify(Digraph(len(f.coords)), f)
