@@ -13,6 +13,10 @@ relabelled vertices and on directed hypercubes Q_k (Cartesian powers of the
 single arc).  Each row gives the wall time of one call and the tracemalloc
 peak of a second call, counting only that call's allocations.
 
+The third table times strong_pfd the same way on bidirected hypercubes Q_k.
+They are triangle-free, so strong-prime, and their skeletons delete no arc,
+so strong_pfd returns each one as its own factor right after the skeleton.
+
     PYTHONPATH=src python scripts/skeleton_scaling.py --min-k 6 --max-k 12
 """
 
@@ -21,10 +25,17 @@ import random
 import time
 import tracemalloc
 
-from digraph_pfd import Digraph, cartesian_pfd, cartesian_product, cartesian_skeleton
+from digraph_pfd import (
+    Digraph,
+    cartesian_pfd,
+    cartesian_product,
+    cartesian_skeleton,
+    strong_pfd,
+)
 
 PFD_PATHS = (5000, 20000)
 PFD_CUBES = range(9, 13)
+STRONG_CUBES = range(9, 12)
 
 
 def measure(k: int, repeats: int) -> tuple[int, int, float]:
@@ -41,6 +52,11 @@ def relabelled_path(n: int) -> Digraph:
     perm = list(range(n))
     random.Random(n).shuffle(perm)
     return Digraph(n, [(perm[v], perm[v + 1]) for v in range(n - 1)])
+
+
+def bidirected_cube(k: int) -> Digraph:
+    n = 1 << k
+    return Digraph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(k)])
 
 
 def time_and_peak(fn, g: Digraph) -> tuple[float, float]:
@@ -81,11 +97,13 @@ def main() -> None:
 
     rows = [(f"P{n}", relabelled_path(n)) for n in PFD_PATHS]
     rows += [(f"Q{k}", cartesian_product([Digraph(2, [(0, 1)])] * k).graph) for k in PFD_CUBES]
-    print()
-    print(f"{'cartesian_pfd':<13} {'|V|':>6} {'|E|':>8} {'time':>10} {'peak':>10}")
-    for label, g in rows:
-        t, peak = time_and_peak(cartesian_pfd, g)
-        print(f"{label:<13} {g.n:>6} {g.arc_count:>8} {t * 1e3:>8.1f}ms {peak:>8.1f}MB")
+    strong_rows = [(f"Q{k}", bidirected_cube(k)) for k in STRONG_CUBES]
+    for fn, table in ((cartesian_pfd, rows), (strong_pfd, strong_rows)):
+        print()
+        print(f"{fn.__name__:<13} {'|V|':>6} {'|E|':>8} {'time':>10} {'peak':>10}")
+        for label, g in table:
+            t, peak = time_and_peak(fn, g)
+            print(f"{label:<13} {g.n:>6} {g.arc_count:>8} {t * 1e3:>8.1f}ms {peak:>8.1f}MB")
 
 
 if __name__ == "__main__":

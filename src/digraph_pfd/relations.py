@@ -68,16 +68,17 @@ def is_thin(g: Digraph) -> bool:
 def quotient(g: Digraph) -> QuotientWithMultiplicity:
     """Collapse every neighborhood class to a single vertex.
 
-    Between distinct classes adjacency is all-or-nothing per direction, so an
-    arc between class representatives stands for all member arcs; the result
-    is always thin.
+    Between distinct classes adjacency is all-or-nothing per direction, so
+    the out-arcs of one representative per class stand for all member arcs;
+    the result is always thin.
     """
     part = s_partition(g, "both")
-    arcs = set()
-    for u, v in g.arcs:
-        cu, cv = part.class_of[u], part.class_of[v]
-        if cu != cv:
-            arcs.add((cu, cv))
+    class_of = part.class_of
+    arcs = (
+        (c, d)
+        for c, members in enumerate(part.classes)
+        for d in {class_of[w] for w in g.out_adj[members[0]]} - {c}
+    )
     return QuotientWithMultiplicity(Digraph(len(part.classes), arcs), part.sizes)
 
 

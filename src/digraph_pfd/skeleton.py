@@ -194,4 +194,5 @@ def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResul
             kept.append(arc)
         else:
             removed.append((arc, witness))
-    return SkeletonResult(Digraph(g.n, kept), tuple(removed))
+    # Digraph is immutable, so an unchanged skeleton is g itself.
+    return SkeletonResult(Digraph(g.n, kept) if removed else g, tuple(removed))

@@ -6,6 +6,8 @@ give exact strong factors.  Arbitrary graphs first shed their maximal
 complete factor, are factored at the quotient level, and the quotient factors
 are then regrouped by checking that the neighborhood-class sizes split
 multiplicatively (the gcd projection gives the only candidate sizes).
+A strong-prime input is returned as its own single factor, with vertex v at
+coordinate (v,), whichever path finds it.
 """
 
 from __future__ import annotations
@@ -107,16 +109,34 @@ def _greedy_groups(
     return groups
 
 
+def _certified(g: Digraph, result: Factorization) -> Factorization:
+    if not is_strong_product(g, result):
+        raise ReconstructionError("result is not the strong product of its factors")
+    return result
+
+
+def _prime(g: Digraph) -> Factorization:
+    """A strong-prime input as its own single factor, vertex v at (v,)."""
+    return _certified(g, Factorization((g,), tuple((v,) for v in range(g.n))))
+
+
 def strong_pfd_thin(g: Digraph) -> Factorization:
-    """Prime factors of a connected thin digraph over the strong product."""
+    """Prime factors of a connected thin digraph over the strong product.
+
+    For thin graphs S(H boxtimes K) = S(H) box S(K), so a nontrivial product
+    of connected factors has diagonal arcs that the skeleton deletes; a
+    skeleton that deletes nothing proves g strong-prime."""
+    if g.n == 0:
+        return Factorization((), ())
     if not g.is_connected():
         raise NotConnectedError("strong PFD requires a connected graph")
     if not is_thin(g):
         raise NotThinError("strong_pfd_thin requires a thin graph")
-    if g.n == 1:
-        return Factorization((g,), ((0,),))
 
-    sk = cartesian_skeleton(g).skeleton
+    sk = cartesian_skeleton(g)
+    if not sk.removed:
+        return _prime(g)
+    sk = sk.skeleton  # free the ledger before the Cartesian stage runs
     cf = cartesian_pfd(sk)
     coords = cf.coords
     sizes = [f.n for f in cf.factors]
@@ -125,12 +145,11 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
         range(len(cf.factors)),
         lambda J, rest: verify_strong_grouping(g, coords, J) is not None,
     )
+    if len(groups) == 1:
+        return _prime(g)
 
     factors, ranks = zip(*(_layer(g, coords, sizes, J) for J in groups))
-    result = Factorization(factors, tuple(zip(*ranks)))
-    if not is_strong_product(g, result):
-        raise ReconstructionError("result is not the strong product of its factors")
-    return result
+    return _certified(g, Factorization(factors, tuple(zip(*ranks))))
 
 
 def gcd_multiplicity(
@@ -166,10 +185,11 @@ def strong_pfd(g: Digraph) -> Factorization:
         raise NotConnectedError("strong PFD requires a connected graph")
     if g.n == 0:
         return Factorization((), ())
-    if g.n == 1:
-        return Factorization((g,), ((0,),))
 
     part = s_partition(g, "both")
+    if len(part.classes) == g.n:
+        # Thin: the quotient is g itself with every multiplicity 1.
+        return strong_pfd_thin(g)
     l = math.gcd(*part.sizes)
     mult = [s // l for s in part.sizes]
     h = quotient(g).quotient
@@ -205,6 +225,8 @@ def strong_pfd(g: Digraph) -> Factorization:
             group_offsets.append(dict(zip(prod_j.coords, starts)))
 
     factors = tuple(group_factors) + tuple(complete_digraph(p) for p in primes)
+    if len(factors) == 1:
+        return _prime(g)
 
     rank_in_class = {}
     for members in part.classes:
@@ -225,7 +247,4 @@ def strong_pfd(g: Digraph) -> Factorization:
             r //= p
         fcoords.append(tuple(coord))
 
-    result = Factorization(factors, tuple(fcoords))
-    if not is_strong_product(g, result):
-        raise ReconstructionError("result is not the strong product of its factors")
-    return result
+    return _certified(g, Factorization(factors, tuple(fcoords)))

@@ -25,6 +25,7 @@ from digraph_pfd import (
     reconstruct_cartesian,
     reconstruct_strong,
     strong_pfd,
+    strong_pfd_thin,
     strong_product,
 )
 from digraph_pfd.cli import main
@@ -96,6 +97,10 @@ def test_empty_graph_has_no_factors(tmp_path, capsys, kind, factorize):
     path.write_text("0 0\n", encoding="utf-8")
     assert main(["factor", "--kind", kind, str(path)]) == 0
     assert capsys.readouterr().out == "0\n---\n"
+
+
+def test_empty_graph_has_no_thin_factors():
+    assert strong_pfd_thin(Digraph(0)) == Factorization((), ())
 
 
 # (product, its certificate, its reconstruction)
