@@ -23,24 +23,20 @@ from .factorization import reconstruct_cartesian  # noqa: F401  pfdbench/tracing
 Edge = tuple[int, int]
 
 
-class _DisjointSet:
-    """Union-find with smallest-member representatives."""
+def _find(parent: list[int], a: int) -> int:
+    """Root of a in the flat union-find parent list, halving the path."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
 
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _union(parent: list[int], a: int, b: int) -> None:
+    """Join the sets of a and b; the smaller root becomes the root."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra < rb:
+        parent[rb] = ra
+    elif rb < ra:
+        parent[ra] = rb
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ def _closure_coloring(ug: UndirectedGraph) -> EdgeColoring:
     """Equivalence closure of the chordless-square relation."""
     edges = ug.edges
     eidx = {e: i for i, e in enumerate(edges)}
-    dsu = _DisjointSet(len(edges))
+    parent = list(range(len(edges)))
 
     def edge(a: int, b: int) -> int:
         return eidx[(a, b) if a < b else (b, a)]
@@ -67,30 +63,30 @@ def _closure_coloring(ug: UndirectedGraph) -> EdgeColoring:
                 a, b = nbrs[ai], nbrs[bi]
                 if a in ug.adj[b]:
                     # The chord ab rules out any chordless square on (va, vb).
-                    dsu.union(edge(v, a), edge(v, b))
+                    _union(parent, edge(v, a), edge(v, b))
                     continue
                 fourth = sorted((ug.adj[a] & ug.adj[b]) - ug.adj[v] - {v})
                 if len(fourth) != 1:
-                    dsu.union(edge(v, a), edge(v, b))
+                    _union(parent, edge(v, a), edge(v, b))
                 for x in fourth:
-                    dsu.union(edge(v, a), edge(b, x))
-                    dsu.union(edge(v, b), edge(a, x))
+                    _union(parent, edge(v, a), edge(b, x))
+                    _union(parent, edge(v, b), edge(a, x))
 
-    roots = sorted({dsu.find(i) for i in range(len(edges))})
+    roots = sorted({_find(parent, i) for i in range(len(edges))})
     relabel = {r: i for i, r in enumerate(roots)}
     return EdgeColoring(
-        {e: relabel[dsu.find(i)] for i, e in enumerate(edges)}, len(roots)
+        {e: relabel[_find(parent, i)] for i, e in enumerate(edges)}, len(roots)
     )
 
 
 def _merge_colors(coloring: EdgeColoring, pairs) -> EdgeColoring:
-    dsu = _DisjointSet(coloring.count)
+    parent = list(range(coloring.count))
     for i, j in pairs:
-        dsu.union(i, j)
+        _union(parent, i, j)
     order: dict[int, int] = {}
     colors = {}
     for e in sorted(coloring.colors):
-        root = dsu.find(coloring.colors[e])
+        root = _find(parent, coloring.colors[e])
         if root not in order:
             order[root] = len(order)
         colors[e] = order[root]
@@ -121,27 +117,27 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
     positions: list[list[int]] = []
     total = 1
     for i in range(count):
-        dsu = _DisjointSet(n)
+        parent = list(range(n))
         for u, v in by_color[i]:
-            dsu.union(u, v)
-        positions.append([v for v in range(n) if dsu.find(v) == 0])
+            _union(parent, u, v)
+        positions.append([v for v in range(n) if _find(parent, v) == 0])
         total *= len(positions[i])
     if total != n:
         return None
 
     coords = [[0] * count for _ in range(n)]
     for i in range(count):
-        dsu = _DisjointSet(n)
+        parent = list(range(n))
         for j in range(count):
             if j != i:
                 for u, v in by_color[j]:
-                    dsu.union(u, v)
+                    _union(parent, u, v)
         rank: dict[int, int] = {}
         for r, p in enumerate(positions[i]):
-            if rank.setdefault(dsu.find(p), r) != r:
+            if rank.setdefault(_find(parent, p), r) != r:
                 return None
         for v in range(n):
-            r = rank.get(dsu.find(v))
+            r = rank.get(_find(parent, v))
             if r is None:
                 return None
             coords[v][i] = r
@@ -177,7 +173,7 @@ def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
     """Finest product coloring of a connected undirected graph: color classes
     correspond to its Cartesian prime factors."""
     if not ug.is_connected():
-        raise NotConnectedError("undirected PFD requires a connected graph")
+        raise NotConnectedError("Cartesian PFD requires a connected graph")
     if ug.n <= 1:
         return EdgeColoring({}, 0)
     return _closure_coloring(ug)
@@ -231,9 +227,8 @@ def cartesian_pfd(g: Digraph) -> Factorization:
     """Unique prime factorization of a connected digraph over the Cartesian
     product: undirected PFD of the shadow, then direction-conflict merging.
     Each merge round coordinatizes once; the factors are read from the
-    placement of the round that shows no conflict."""
-    if not g.is_connected():
-        raise NotConnectedError("cartesian PFD requires a connected graph")
+    placement of the round that shows no conflict.  Connectivity is checked
+    once, on the shadow, by undirected_cartesian_pfd."""
     if g.n == 0:
         return Factorization((), ())
     if g.n == 1:

@@ -28,6 +28,26 @@ def _closed_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sum(1 << w for w in nbrs) | 1 << v for v, nbrs in enumerate(adj))
 
 
+def _reaches_all(n: int, *adjs: Sequence[Iterable[int]]) -> bool:
+    """True iff a search from vertex 0 along the union of the adjacency
+    lists reaches all n vertices."""
+    if n <= 1:
+        return True
+    seen = bytearray(n)
+    seen[0] = 1
+    queue = deque([0])
+    count = 1
+    while queue:
+        v = queue.popleft()
+        for adj in adjs:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    count += 1
+                    queue.append(w)
+    return count == n
+
+
 class Digraph:
     """Immutable loop-free digraph over vertices 0..n-1."""
 
@@ -100,25 +120,7 @@ class Digraph:
 
     def is_connected(self) -> bool:
         """Weak connectivity: the underlying undirected graph is connected."""
-        if self.n <= 1:
-            return True
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.out_adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-            for w in self.in_adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-        return count == self.n
+        return _reaches_all(self.n, self.out_adj, self.in_adj)
 
     def underlying_undirected(self) -> "UndirectedGraph":
         return UndirectedGraph(self.n, {(min(u, v), max(u, v)) for u, v in self.arcs})
@@ -170,20 +172,7 @@ class UndirectedGraph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-        return count == self.n
+        return _reaches_all(self.n, self.adj)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):

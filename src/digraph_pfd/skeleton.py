@@ -178,13 +178,17 @@ def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResul
 
     Non-thin input is rejected rather than silently quotiented: the skeleton's
     structural guarantees only hold for thin graphs, so callers must go
-    through relations.quotient first.
+    through relations.quotient first.  These two checks are also the guards
+    of strong_pfd_thin, whose first step this is.
     """
     if not g.is_connected():
-        raise NotConnectedError("cartesian skeleton requires a connected graph")
+        raise NotConnectedError(
+            "the Cartesian skeleton and thin strong PFD require a connected graph"
+        )
     if not is_thin(g):
         raise NotThinError(
-            "cartesian skeleton requires a thin graph; take the quotient first"
+            "the Cartesian skeleton and thin strong PFD require a thin graph; "
+            "take the quotient first"
         )
     removed = []
     kept = []

@@ -18,11 +18,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cartesian_pfd import cartesian_pfd
 from .digraph import Digraph, complete_digraph
-from .errors import NotConnectedError, NotThinError, ReconstructionError
+from .errors import NotConnectedError, ReconstructionError
 from .factorization import Factorization, is_strong_product
 from .factorization import reconstruct_strong  # noqa: F401  pfdbench/tracing.py hooks this name
 from .products import _strides, strong_product
-from .relations import blowup, is_thin, quotient, s_partition
+from .relations import blowup, quotient, s_partition
 from .skeleton import cartesian_skeleton
 
 Coords = Sequence[tuple[int, ...]]
@@ -117,7 +117,7 @@ def _certified(g: Digraph, result: Factorization) -> Factorization:
 
 def _prime(g: Digraph) -> Factorization:
     """A strong-prime input as its own single factor, vertex v at (v,)."""
-    return _certified(g, Factorization((g,), tuple((v,) for v in range(g.n))))
+    return Factorization((g,), tuple((v,) for v in range(g.n)))
 
 
 def strong_pfd_thin(g: Digraph) -> Factorization:
@@ -125,14 +125,15 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
 
     For thin graphs S(H boxtimes K) = S(H) box S(K), so a nontrivial product
     of connected factors has diagonal arcs that the skeleton deletes; a
-    skeleton that deletes nothing proves g strong-prime."""
+    skeleton that deletes nothing proves g strong-prime.  The skeleton
+    rejects a disconnected or non-thin input."""
     if g.n == 0:
         return Factorization((), ())
-    if not g.is_connected():
-        raise NotConnectedError("strong PFD requires a connected graph")
-    if not is_thin(g):
-        raise NotThinError("strong_pfd_thin requires a thin graph")
+    return _certified(g, _thin(g))
 
+
+def _thin(g: Digraph) -> Factorization:
+    """strong_pfd_thin on a non-empty graph, without the final certificate."""
     sk = cartesian_skeleton(g)
     if not sk.removed:
         return _prime(g)
@@ -149,7 +150,7 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
         return _prime(g)
 
     factors, ranks = zip(*(_layer(g, coords, sizes, J) for J in groups))
-    return _certified(g, Factorization(factors, tuple(zip(*ranks))))
+    return Factorization(factors, tuple(zip(*ranks)))
 
 
 def gcd_multiplicity(
@@ -180,7 +181,9 @@ def _prime_factors(value: int) -> list[int]:
 def strong_pfd(g: Digraph) -> Factorization:
     """Prime factors of an arbitrary connected digraph over the strong
     product: peel off the maximal complete factor, factor the thin quotient,
-    then accept exactly the index groups whose class sizes multiply back."""
+    then accept exactly the index groups whose class sizes multiply back.
+    Connectivity is checked here, in O(n + m), before the class partition
+    builds its neighbourhood masks; only the returned result is certified."""
     if not g.is_connected():
         raise NotConnectedError("strong PFD requires a connected graph")
     if g.n == 0:
@@ -201,7 +204,7 @@ def strong_pfd(g: Digraph) -> Factorization:
     group_offsets: list[dict[tuple[int, ...], int]] = []
     coords_h: Coords = ((),) * h.n
     if h.n > 1:
-        thin_f = strong_pfd_thin(h)
+        thin_f = _thin(h)
         coords_h = thin_f.coords
         table = {coords_h[v]: mult[v] for v in range(h.n)}
 
@@ -226,7 +229,7 @@ def strong_pfd(g: Digraph) -> Factorization:
 
     factors = tuple(group_factors) + tuple(complete_digraph(p) for p in primes)
     if len(factors) == 1:
-        return _prime(g)
+        return _certified(g, _prime(g))
 
     rank_in_class = {}
     for members in part.classes:

@@ -7,7 +7,7 @@ from digraph_pfd import (
     s_partition,
     strong_product,
 )
-from digraph_pfd.cartesian_pfd import _closure_coloring, _DisjointSet, _merge_colors
+from digraph_pfd.cartesian_pfd import _closure_coloring, _find, _merge_colors, _union
 from digraph_pfd.errors import InvalidColoringError
 
 
@@ -27,6 +27,11 @@ def k2() -> Digraph:
 
 def k1() -> Digraph:
     return Digraph(1)
+
+
+def two_k2() -> Digraph:
+    """Two disjoint copies of K2: disconnected and not thin."""
+    return Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
 
 
 def c4_bidirected() -> Digraph:
@@ -131,10 +136,10 @@ def reference_coordinatize(ug, coloring):
     positions = []
     total = 1
     for i in range(count):
-        dsu = _DisjointSet(n)
+        parent = list(range(n))
         for u, v in by_color[i]:
-            dsu.union(u, v)
-        layer = sorted(v for v in range(n) if dsu.find(v) == dsu.find(0))
+            _union(parent, u, v)
+        layer = sorted(v for v in range(n) if _find(parent, v) == _find(parent, 0))
         positions.append(layer)
         total *= len(layer)
     if total != n:
@@ -142,16 +147,16 @@ def reference_coordinatize(ug, coloring):
 
     coords = [[0] * count for _ in range(n)]
     for i in range(count):
-        dsu = _DisjointSet(n)
+        parent = list(range(n))
         for j in range(count):
             if j != i:
                 for u, v in by_color[j]:
-                    dsu.union(u, v)
+                    _union(parent, u, v)
         anchor = {}
         for p in positions[i]:
-            anchor.setdefault(dsu.find(p), []).append(p)
+            anchor.setdefault(_find(parent, p), []).append(p)
         for v in range(n):
-            hits = anchor.get(dsu.find(v), ())
+            hits = anchor.get(_find(parent, v), ())
             if len(hits) != 1:
                 return None
             coords[v][i] = hits[0]

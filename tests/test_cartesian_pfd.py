@@ -19,7 +19,7 @@ from digraph_pfd.cartesian_pfd import EdgeColoring
 from digraph_pfd.errors import InvalidColoringError, NotConnectedError
 from digraph_pfd.oracle import SplitMix64
 
-from helpers import c3, conflict_square, factor_forms, k1, p2
+from helpers import c3, conflict_square, factor_forms, k1, p2, two_k2
 from strategies import connected_digraphs, graph_with_permutation
 
 
@@ -141,8 +141,9 @@ def test_conflict_square_is_prime():
 
 
 def test_requires_connected():
-    with pytest.raises(NotConnectedError):
-        cartesian_pfd(Digraph(3, [(0, 1)]))
+    for g in (Digraph(3, [(0, 1)]), two_k2()):
+        with pytest.raises(NotConnectedError):
+            cartesian_pfd(g)
 
 
 @settings(max_examples=25)

@@ -6,7 +6,7 @@ from digraph_pfd import parse_edge_list, serialize_edge_list, strong_product
 from digraph_pfd.cli import main
 from digraph_pfd.graphio import MAX_VERTICES
 
-from helpers import c3, k2, p2
+from helpers import c3, k2, p2, two_k2
 
 
 def write(tmp_path, name, g):
@@ -159,6 +159,15 @@ def test_dot_subcommand(tmp_path, capsys):
 def test_missing_file_is_error(tmp_path, capsys):
     assert main(["factor", str(tmp_path / "nope.txt")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["strong", "cartesian"])
+def test_factor_rejects_disconnected_input(tmp_path, capsys, kind):
+    g = write(tmp_path, "g.txt", two_k2())
+    assert main(["factor", "--kind", kind, g]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "connected" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_factor_rejects_header_above_vertex_limit(tmp_path, capsys):

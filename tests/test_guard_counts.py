@@ -1,0 +1,70 @@
+"""Each public factorizer guards its input once per stage that needs it and
+certifies only the result it returns: connectivity searches and product
+certificates counted on a thin strong product, the same product times K2,
+a non-thin prime over a composite quotient, and a Cartesian product."""
+
+import importlib
+
+import pytest
+
+from digraph_pfd import blowup, cartesian_product, strong_product
+from digraph_pfd.digraph import Digraph, UndirectedGraph
+
+from helpers import c3, k2, p2
+
+strong_pfd_mod = importlib.import_module("digraph_pfd.strong_pfd")
+cartesian_pfd_mod = importlib.import_module("digraph_pfd.cartesian_pfd")
+
+# (factorizer, input, connectivity searches, strong certificates outside
+# the grouping, Cartesian certificates, factor count)
+CASES = {
+    "strong_thin": ("strong_pfd", strong_product([p2(), c3()]).graph, 3, 1, 1, 2),
+    "strong_non_thin": ("strong_pfd", strong_product([p2(), c3(), k2()]).graph, 3, 1, 1, 3),
+    "strong_non_thin_prime": (
+        "strong_pfd",
+        blowup(strong_product([p2(), p2()]).graph, [1, 2, 2, 2]),
+        3,
+        1,
+        1,
+        1,
+    ),
+    "cartesian": ("cartesian_pfd", cartesian_product([p2(), c3()]).graph, 1, 0, 1, 2),
+}
+
+
+def _count(monkeypatch, owner, attr, counts, key, when=lambda: True):
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        if when():
+            counts[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_one_guard_per_stage_and_one_certificate(monkeypatch, case):
+    fn, g, bfs, strong, cartesian, factors = CASES[case]
+    counts = {"bfs": 0, "strong": 0, "cartesian": 0}
+    in_verify = [0]
+    verify = strong_pfd_mod.verify_strong_grouping
+
+    def counted_verify(*args):
+        in_verify[0] += 1
+        try:
+            return verify(*args)
+        finally:
+            in_verify[0] -= 1
+
+    monkeypatch.setattr(strong_pfd_mod, "verify_strong_grouping", counted_verify)
+    _count(monkeypatch, Digraph, "is_connected", counts, "bfs")
+    _count(monkeypatch, UndirectedGraph, "is_connected", counts, "bfs")
+    _count(
+        monkeypatch, strong_pfd_mod, "is_strong_product", counts, "strong", lambda: not in_verify[0]
+    )
+    _count(monkeypatch, cartesian_pfd_mod, "is_cartesian_product", counts, "cartesian")
+
+    module = strong_pfd_mod if fn == "strong_pfd" else cartesian_pfd_mod
+    assert len(getattr(module, fn)(g).factors) == factors
+    assert (counts["bfs"], counts["strong"], counts["cartesian"]) == (bfs, strong, cartesian)

@@ -23,7 +23,7 @@ from digraph_pfd import (
 )
 from digraph_pfd.errors import NotConnectedError, NotThinError
 
-from helpers import bidirected_cube, c3, c4_bidirected, factor_forms, k1, k2, p2
+from helpers import bidirected_cube, c3, c4_bidirected, factor_forms, k1, k2, p2, two_k2
 from strategies import graph_with_permutation, thin_connected_digraphs
 
 
@@ -146,6 +146,12 @@ def test_thin_pfd_rejects_non_thin():
         strong_pfd_thin(k2())
 
 
+def test_thin_pfd_requires_connected():
+    for g in (Digraph(2, []), two_k2()):
+        with pytest.raises(NotConnectedError):
+            strong_pfd_thin(g)
+
+
 def test_gcd_multiplicity_examples():
     table = {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 6}
     assert gcd_multiplicity(table, [0]) == {(0,): 1, (1,): 2}
@@ -188,8 +194,9 @@ def test_strong_pfd_k1():
 
 
 def test_strong_pfd_requires_connected():
-    with pytest.raises(NotConnectedError):
-        strong_pfd(Digraph(2, []))
+    for g in (Digraph(2, []), two_k2()):
+        with pytest.raises(NotConnectedError):
+            strong_pfd(g)
 
 
 @settings(max_examples=20)
