@@ -122,12 +122,18 @@ def _cmd_iso(args) -> int:
     return 1
 
 
+def _range_spec(spec: str) -> str:
+    """argparse type of `gen --n`: N or LO:HI, decimal integers, LO <= HI."""
+    lo, sep, hi = spec.partition(":")
+    hi = hi if sep else lo
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI with LO <= HI, got {spec!r}")
+    return spec
+
+
 def _parse_range(spec: str) -> tuple[int, int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return int(lo), int(hi)
-    n = int(spec)
-    return n, n
+    lo, sep, hi = spec.partition(":")
+    return int(lo), int(hi if sep else lo)
 
 
 def _cmd_gen(args) -> int:
@@ -208,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="seeded fixture generator")
     p.add_argument("--model", choices=("prime", "thin", "product"), required=True)
-    p.add_argument("--n", required=True, help="vertex count N or range LO:HI")
+    p.add_argument(
+        "--n", required=True, type=_range_spec, help="vertex count N or range LO:HI"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--factors", type=int, default=2, help="factor count for product")
     p.add_argument("-o", "--output")

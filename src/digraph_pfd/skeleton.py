@@ -24,14 +24,20 @@ arc.  Each arc is judged against the original graph only, so the removed set
 is independent of processing order.  Witness candidates z, z1, z2 never need
 to leave (N+[x] | N-[x]) & (N+[y] | N-[y]); the optional exhaustive mode
 scans all vertices instead so that this pruning stays a testable claim.
+
+The removal ledger reports, for each removed arc, the first rule that fires
+in the order D1 to D5 and, within that rule, the least candidate.  D2's z1
+and z2 are each the least on their own; D5's pair is the first (z1, z2) in
+lexicographic order.  One pass over the candidates in ascending order finds
+all of them, and stops at the first D1 witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
-from .digraph import Arc, Digraph
+from .digraph import Arc, Digraph, _check_endpoint
 from .errors import ArcNotPresentError, NotConnectedError, NotThinError
 from .relations import is_thin
 
@@ -88,7 +94,10 @@ def _require_arc(g: Digraph, x: int, y: int) -> None:
         raise ArcNotPresentError(f"arc ({x}, {y}) not present")
 
 
-def _masks(g: Digraph, sign: Sign) -> Sequence[int]:
+def _query_masks(g: Digraph, x: int, y: int, z: int, sign: Sign) -> Sequence[int]:
+    """Masks of one sign for a single-condition query, after its checks."""
+    _require_arc(g, x, y)
+    _check_endpoint(z, g.n)
     if sign == "+":
         return g.out_mask
     if sign == "-":
@@ -98,79 +107,60 @@ def _masks(g: Digraph, sign: Sign) -> Sequence[int]:
 
 def n_condition(g: Digraph, x: int, y: int, z: int, sign: Sign) -> int | None:
     """First strict condition (1, 2 or 3) holding for arc xy with z, if any."""
-    _require_arc(g, x, y)
-    conds = _strict_conditions(_masks(g, sign), x, y, z)
+    conds = _strict_conditions(_query_masks(g, x, y, z, sign), x, y, z)
     return conds[0] if conds else None
 
 
 def weak_n_condition(g: Digraph, x: int, y: int, z: int, sign: Sign) -> bool:
     """Non-strict variant: N[x] & N[y] contained in both N[x] & N[z] and
     N[y] & N[z]."""
-    _require_arc(g, x, y)
-    return _weak_condition(_masks(g, sign), x, y, z)
+    return _weak_condition(_query_masks(g, x, y, z, sign), x, y, z)
 
 
-def _candidates(g: Digraph, x: int, y: int, exhaustive: bool) -> Iterator[int]:
-    if exhaustive:
-        yield from range(g.n)
-        return
-    mask = (g.out_mask[x] | g.in_mask[x]) & (g.out_mask[y] | g.in_mask[y])
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _tokens(conds: tuple[int, ...], sign: Sign) -> tuple[str, ...]:
+    return tuple(f"{c}{sign}" for c in conds)
 
 
 def dispensability(
     g: Digraph, x: int, y: int, *, exhaustive: bool = False
 ) -> DispensabilityWitness | None:
-    """Witness for arc xy under the first rule that fires (D1 through D5,
-    candidates in ascending vertex id), or None when the arc survives."""
+    """Witness for arc xy under the first rule that fires, chosen as the
+    module docstring states, or None when the arc survives."""
     _require_arc(g, x, y)
     out_m, in_m = g.out_mask, g.in_mask
-    cands = list(_candidates(g, x, y, exhaustive))
-    plus = [_strict_conditions(out_m, x, y, z) for z in cands]
-    minus = [_strict_conditions(in_m, x, y, z) for z in cands]
-
-    for i, z in enumerate(cands):
-        if plus[i] and minus[i]:
-            tokens = tuple(f"{c}+" for c in plus[i]) + tuple(f"{c}-" for c in minus[i])
+    d2_z1 = d2_z2 = d3 = d4 = None
+    d5_z1, d5_z2 = [], []
+    cands = (1 << g.n) - 1 if exhaustive else (out_m[x] | in_m[x]) & (out_m[y] | in_m[y])
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        z = low.bit_length() - 1
+        plus = _strict_conditions(out_m, x, y, z)
+        minus = _strict_conditions(in_m, x, y, z)
+        if plus and minus:
+            tokens = _tokens(plus, "+") + _tokens(minus, "-")
             return DispensabilityWitness("D1", z=z, conditions=tokens)
-
-    z1 = next(
-        (z for i, z in enumerate(cands) if 3 in plus[i] and _weak_condition(in_m, x, y, z)),
-        None,
-    )
-    if z1 is not None:
-        z2 = next(
-            (z for i, z in enumerate(cands) if 3 in minus[i] and _weak_condition(out_m, x, y, z)),
-            None,
-        )
-        if z2 is not None:
-            return DispensabilityWitness("D2", z1=z1, z2=z2, conditions=("3+", "3-"))
-
-    for i, z in enumerate(cands):
-        if plus[i] and (in_m[z] == in_m[x] or in_m[z] == in_m[y]):
-            return DispensabilityWitness(
-                "D3", z=z, conditions=tuple(f"{c}+" for c in plus[i])
-            )
-
-    for i, z in enumerate(cands):
-        if minus[i] and (out_m[z] == out_m[x] or out_m[z] == out_m[y]):
-            return DispensabilityWitness(
-                "D4", z=z, conditions=tuple(f"{c}-" for c in minus[i])
-            )
-
-    for z1 in cands:
-        if z1 in (x, y) or out_m[z1] != out_m[x] or in_m[z1] != in_m[y]:
-            continue
-        for z2 in cands:
-            if z2 == z1 or z2 in (x, y):
-                continue
-            if in_m[z2] == in_m[x] and out_m[z2] == out_m[y]:
-                return DispensabilityWitness("D5", z1=z1, z2=z2)
-
-    return None
+        if plus:
+            if d2_z1 is None and 3 in plus and _weak_condition(in_m, x, y, z):
+                d2_z1 = z
+            if d3 is None and in_m[z] in (in_m[x], in_m[y]):
+                d3 = DispensabilityWitness("D3", z=z, conditions=_tokens(plus, "+"))
+        elif minus:
+            if d2_z2 is None and 3 in minus and _weak_condition(out_m, x, y, z):
+                d2_z2 = z
+            if d4 is None and out_m[z] in (out_m[x], out_m[y]):
+                d4 = DispensabilityWitness("D4", z=z, conditions=_tokens(minus, "-"))
+        elif z != x and z != y:
+            # D5 twins land only here: sharing one mask of each sign with x
+            # or y rules out every strict condition of both signs.
+            if out_m[z] == out_m[x] and in_m[z] == in_m[y]:
+                d5_z1.append(z)
+            if in_m[z] == in_m[x] and out_m[z] == out_m[y]:
+                d5_z2.append(z)
+    if d2_z1 is not None and d2_z2 is not None:
+        return DispensabilityWitness("D2", z1=d2_z1, z2=d2_z2, conditions=("3+", "3-"))
+    d5 = (DispensabilityWitness("D5", z1=a, z2=b) for a in d5_z1 for b in d5_z2 if a != b)
+    return d3 or d4 or next(d5, None)
 
 
 def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResult:

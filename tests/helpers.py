@@ -9,6 +9,12 @@ from digraph_pfd import (
 )
 from digraph_pfd.cartesian_pfd import _closure_coloring, _find, _merge_colors, _union
 from digraph_pfd.errors import InvalidColoringError
+from digraph_pfd.skeleton import (
+    DispensabilityWitness,
+    _require_arc,
+    _strict_conditions,
+    _weak_condition,
+)
 
 
 def p2() -> Digraph:
@@ -259,3 +265,69 @@ def reference_cartesian_pfd(g):
         tuple(ranks[i][coords[v][i]] for i in range(coloring.count)) for v in range(g.n)
     )
     return tuple(factors), fcoords
+
+
+# Reference skeleton rule: the dispensability body that rescanned per-candidate
+# condition lists once per rule.  The differential in test_skeleton.py checks
+# that the single pass reports the same witness on every arc.
+
+
+def _candidates(g, x, y, exhaustive):
+    if exhaustive:
+        yield from range(g.n)
+        return
+    mask = (g.out_mask[x] | g.in_mask[x]) & (g.out_mask[y] | g.in_mask[y])
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_dispensability(g, x, y, *, exhaustive=False):
+    """Witness for arc xy under the first rule that fires (D1 through D5,
+    candidates in ascending vertex id), or None when the arc survives."""
+    _require_arc(g, x, y)
+    out_m, in_m = g.out_mask, g.in_mask
+    cands = list(_candidates(g, x, y, exhaustive))
+    plus = [_strict_conditions(out_m, x, y, z) for z in cands]
+    minus = [_strict_conditions(in_m, x, y, z) for z in cands]
+
+    for i, z in enumerate(cands):
+        if plus[i] and minus[i]:
+            tokens = tuple(f"{c}+" for c in plus[i]) + tuple(f"{c}-" for c in minus[i])
+            return DispensabilityWitness("D1", z=z, conditions=tokens)
+
+    z1 = next(
+        (z for i, z in enumerate(cands) if 3 in plus[i] and _weak_condition(in_m, x, y, z)),
+        None,
+    )
+    if z1 is not None:
+        z2 = next(
+            (z for i, z in enumerate(cands) if 3 in minus[i] and _weak_condition(out_m, x, y, z)),
+            None,
+        )
+        if z2 is not None:
+            return DispensabilityWitness("D2", z1=z1, z2=z2, conditions=("3+", "3-"))
+
+    for i, z in enumerate(cands):
+        if plus[i] and (in_m[z] == in_m[x] or in_m[z] == in_m[y]):
+            return DispensabilityWitness(
+                "D3", z=z, conditions=tuple(f"{c}+" for c in plus[i])
+            )
+
+    for i, z in enumerate(cands):
+        if minus[i] and (out_m[z] == out_m[x] or out_m[z] == out_m[y]):
+            return DispensabilityWitness(
+                "D4", z=z, conditions=tuple(f"{c}-" for c in minus[i])
+            )
+
+    for z1 in cands:
+        if z1 in (x, y) or out_m[z1] != out_m[x] or in_m[z1] != in_m[y]:
+            continue
+        for z2 in cands:
+            if z2 == z1 or z2 in (x, y):
+                continue
+            if in_m[z2] == in_m[x] and out_m[z2] == out_m[y]:
+                return DispensabilityWitness("D5", z1=z1, z2=z2)
+
+    return None

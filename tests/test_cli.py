@@ -120,6 +120,15 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert parse_edge_list(first).is_connected()
 
 
+@pytest.mark.parametrize("spec", ["abc", "3:x", "5:3"])
+def test_gen_rejects_malformed_n_as_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--model", "thin", "--n", spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n" in err and repr(spec) in err and "Traceback" not in err
+
+
 def test_gen_product_model_factors(tmp_path, capsys):
     assert main(["gen", "--model", "product", "--n", "2:3", "--seed", "1",
                  "--factors", "2"]) == 0

@@ -3,17 +3,28 @@ from hypothesis import given, settings
 
 from digraph_pfd import (
     Digraph,
+    DispensabilityWitness,
     cartesian_product,
     cartesian_skeleton,
     dispensability,
+    enumerate_connected_digraphs,
+    is_thin,
     n_condition,
+    quotient,
+    random_prime_digraph,
     random_thin_digraph,
     strong_product,
     weak_n_condition,
 )
-from digraph_pfd.errors import ArcNotPresentError, NotConnectedError, NotThinError
+from digraph_pfd.errors import (
+    ArcNotPresentError,
+    NotConnectedError,
+    NotThinError,
+    VertexOutOfRangeError,
+)
+from digraph_pfd.oracle import SplitMix64
 
-from helpers import c3, k2, p2
+from helpers import c3, k2, p2, reference_dispensability
 from strategies import graph_with_permutation, thin_connected_digraphs
 
 
@@ -31,6 +42,13 @@ def test_n_condition_on_diagonal():
 def test_n_condition_requires_arc():
     with pytest.raises(ArcNotPresentError):
         n_condition(diag_graph(), 1, 2, 0, "+")
+
+
+@pytest.mark.parametrize("z", [-1, 4])
+@pytest.mark.parametrize("query", [n_condition, weak_n_condition])
+def test_condition_queries_reject_witness_out_of_range(query, z):
+    with pytest.raises(VertexOutOfRangeError):
+        query(diag_graph(), 0, 3, z, "+")
 
 
 def test_n_condition_impossible_with_equal_neighborhoods():
@@ -67,6 +85,84 @@ def test_diagonal_is_dispensable_by_d1():
     assert w.z == 1
     assert w.z1 is None and w.z2 is None
     assert w.conditions == ("2+", "1-")
+
+
+# One thin graph per rule D2-D5 with an arc that rule removes, and the
+# witness the rule reports for it.
+PINNED_WITNESSES = [
+    (
+        5,
+        [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 1), (2, 3), (3, 0), (3, 2),
+         (4, 0), (4, 1), (4, 2), (4, 3)],
+        (0, 1),
+        DispensabilityWitness("D2", z1=4, z2=2, conditions=("3+", "3-")),
+    ),
+    (
+        4,
+        [(2, 1), (2, 3), (3, 0), (3, 1), (3, 2)],
+        (3, 1),
+        DispensabilityWitness("D3", z=2, conditions=("2+",)),
+    ),
+    (
+        4,
+        [(0, 2), (1, 2), (2, 1), (3, 1), (3, 2)],
+        (3, 2),
+        DispensabilityWitness("D4", z=1, conditions=("1-",)),
+    ),
+    (
+        9,
+        [(0, 2), (0, 6), (0, 8), (1, 7), (2, 0), (2, 1), (2, 6), (2, 7), (2, 8),
+         (3, 5), (3, 6), (3, 8), (4, 7), (5, 3), (5, 4), (5, 6), (5, 7), (5, 8),
+         (6, 3), (6, 5), (6, 8), (7, 4), (8, 3), (8, 4), (8, 5), (8, 6), (8, 7)],
+        (3, 8),
+        DispensabilityWitness("D5", z1=6, z2=5),
+    ),
+]
+
+
+@pytest.mark.parametrize("n, arcs, arc, witness", PINNED_WITNESSES)
+def test_pinned_witness_per_rule(n, arcs, arc, witness):
+    g = Digraph(n, arcs)
+    assert is_thin(g) and g.is_connected()
+    assert dispensability(g, *arc) == witness
+    assert dispensability(g, *arc, exhaustive=True) == witness
+    assert (arc, witness) in cartesian_skeleton(g).removed
+
+
+def _relabelled_prime_products(count, seed):
+    """Relabelled strong products of 2-3 random primes on 2-3 vertices; a
+    factor with twins makes the product non-thin."""
+    graphs = []
+    for s in range(count):
+        rng = SplitMix64(seed * 1000 + s)
+        factors = [random_prime_digraph((2, 3), rng.next64()) for _ in range(2 + rng.below(2))]
+        g = strong_product(factors).graph
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabel(perm))
+    return graphs
+
+
+def test_dispensability_matches_reference_ledger():
+    products = _relabelled_prime_products(100, 12)
+    corpora = {
+        "thin n <= 4": [
+            g for n in range(2, 5) for g in enumerate_connected_digraphs(n) if is_thin(g)
+        ],
+        "random thin": [random_thin_digraph((3, 9), s) for s in range(300)],
+        "product quotients": [quotient(g).quotient for g in products],
+        "products": products,
+    }
+    rules = set()
+    for name, graphs in corpora.items():
+        for g in graphs:
+            for x, y in g.arcs:
+                for exhaustive in (False, True):
+                    want = reference_dispensability(g, x, y, exhaustive=exhaustive)
+                    got = dispensability(g, x, y, exhaustive=exhaustive)
+                    assert got == want, f"{name}: arc ({x}, {y}) of {g!r}"
+                    rules.add(want and want.rule)
+    assert rules == {None, "D1", "D2", "D3", "D4", "D5"}
 
 
 def test_cartesian_arc_survives():
