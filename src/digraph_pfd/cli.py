@@ -15,7 +15,7 @@ from pathlib import Path
 from .canon import is_isomorphic
 from .cartesian_pfd import cartesian_pfd
 from .digraph import Digraph
-from .errors import GraphError
+from .errors import GraphError, ParseError
 from .factorization import Factorization
 from .graphio import export_dot, parse_edge_list, serialize_edge_list
 from .oracle import OracleConfig, brute_force_strong_pfd, random_prime_digraph, random_thin_digraph
@@ -26,7 +26,10 @@ from .strong_pfd import strong_pfd
 
 
 def _read_graph(path: str) -> Digraph:
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -138,21 +141,16 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def _cmd_gen(args) -> int:
     n_range = _parse_range(args.n)
+    header = f"# gen model={args.model} n={args.n} seed={args.seed}"
     if args.model == "prime":
         g = random_prime_digraph(n_range, args.seed)
-        header = f"# gen model=prime n={args.n} seed={args.seed}\n"
     elif args.model == "thin":
         g = random_thin_digraph(n_range, args.seed)
-        header = f"# gen model=thin n={args.n} seed={args.seed}\n"
     else:
-        factors = [
-            random_prime_digraph(n_range, args.seed + i) for i in range(args.factors)
-        ]
+        factors = [random_prime_digraph(n_range, args.seed + i) for i in range(args.factors)]
         g = strong_product(factors).graph
-        header = (
-            f"# gen model=product n={args.n} seed={args.seed} factors={args.factors}\n"
-        )
-    _write_output(header + serialize_edge_list(g), args.output)
+        header += f" factors={args.factors}"
+    _write_output(f"{header}\n{serialize_edge_list(g)}", args.output)
     return 0
 
 
@@ -241,10 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,15 +21,21 @@ together with the weak (non-strict) variant of cond 3.  The rules are:
 
 The skeleton is the spanning subgraph left after deleting every dispensable
 arc.  Each arc is judged against the original graph only, so the removed set
-is independent of processing order.  Witness candidates z, z1, z2 never need
-to leave (N+[x] | N-[x]) & (N+[y] | N-[y]); the optional exhaustive mode
-scans all vertices instead so that this pruning stays a testable claim.
+is independent of processing order.  Candidates z, z1, z2 range over
+C - {x, y}, C = (N+[x] | N-[x]) & (N+[y] | N-[y]), or over every vertex but
+x and y in the exhaustive mode that keeps this pruning testable.  Neither x
+nor y can witness: with z = x or z = y each strict condition compares a
+neighborhood with itself, and D5 excludes both.
 
 The removal ledger reports, for each removed arc, the first rule that fires
 in the order D1 to D5 and, within that rule, the least candidate.  D2's z1
 and z2 are each the least on their own; D5's pair is the first (z1, z2) in
 lexicographic order.  One pass over the candidates in ascending order finds
-all of them, and stops at the first D1 witness.
+all of them, and stops at the first D1 witness.  Conditions are tested
+inline against per-arc constants of each sign: cond 1 or 2 asks N[z] to lie
+strictly between N[x] & N[y] and N[x] | N[y] when one of N[x], N[y] holds the
+other, cond 3 to contain N[x] & N[y] and meet N[x] - N[y] and N[y] - N[x]
+when neither does.  Tokens are built for the returned witness only.
 """
 
 from __future__ import annotations
@@ -83,12 +89,6 @@ def _strict_conditions(masks: Sequence[int], x: int, y: int, z: int) -> tuple[in
     return tuple(out)
 
 
-def _weak_condition(masks: Sequence[int], x: int, y: int, z: int) -> bool:
-    # Both non-strict inclusions collapse to N[x] & N[y] <= N[z].
-    mxy = masks[x] & masks[y]
-    return mxy & masks[z] == mxy
-
-
 def _require_arc(g: Digraph, x: int, y: int) -> None:
     if (x, y) not in g.arc_set:
         raise ArcNotPresentError(f"arc ({x}, {y}) not present")
@@ -113,12 +113,64 @@ def n_condition(g: Digraph, x: int, y: int, z: int, sign: Sign) -> int | None:
 
 def weak_n_condition(g: Digraph, x: int, y: int, z: int, sign: Sign) -> bool:
     """Non-strict variant: N[x] & N[y] contained in both N[x] & N[z] and
-    N[y] & N[z]."""
-    return _weak_condition(_query_masks(g, x, y, z, sign), x, y, z)
+    N[y] & N[z], that is, in N[z]."""
+    masks = _query_masks(g, x, y, z, sign)
+    return masks[x] & masks[y] & masks[z] == masks[x] & masks[y]
 
 
-def _tokens(conds: tuple[int, ...], sign: Sign) -> tuple[str, ...]:
-    return tuple(f"{c}{sign}" for c in conds)
+def _tokens(masks: Sequence[int], x: int, y: int, z: int, sign: Sign) -> tuple[str, ...]:
+    return tuple(f"{c}{sign}" for c in _strict_conditions(masks, x, y, z))
+
+
+def _witness(
+    out_m: Sequence[int], in_m: Sequence[int], x: int, y: int, cands: int
+) -> DispensabilityWitness | None:
+    """The witness dispensability reports for arc xy among cands (no x, y)."""
+    ox, oy, ix, iy = out_m[x], out_m[y], in_m[x], in_m[y]
+    # Per sign, as the module docstring says; "cross": neither holds the other.
+    o_and, o_or, ox_only, oy_only = ox & oy, ox | oy, ox & ~oy, oy & ~ox
+    i_and, i_or, ix_only, iy_only = ix & iy, ix | iy, ix & ~iy, iy & ~ix
+    o_cross, i_cross = ox_only and oy_only, ix_only and iy_only
+    d2_z1 = d2_z2 = d3 = d4 = None
+    d5_z1, d5_z2 = [], []
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        z = low.bit_length() - 1
+        zo, zi = out_m[z], in_m[z]
+        plus = zo & o_and == o_and and (
+            zo & ox_only and zo & oy_only if o_cross else zo | o_or == o_or and o_and != zo != o_or
+        )
+        minus = zi & i_and == i_and and (
+            zi & ix_only and zi & iy_only if i_cross else zi | i_or == i_or and i_and != zi != i_or
+        )
+        if plus and minus:
+            tokens = _tokens(out_m, x, y, z, "+") + _tokens(in_m, x, y, z, "-")
+            return DispensabilityWitness("D1", z=z, conditions=tokens)
+        if plus:
+            if d2_z1 is None and o_cross and zi & i_and == i_and:
+                d2_z1 = z
+            if d3 is None and (zi == ix or zi == iy):
+                d3 = z
+        elif minus:
+            if d2_z2 is None and i_cross and zo & o_and == o_and:
+                d2_z2 = z
+            if d4 is None and (zo == ox or zo == oy):
+                d4 = z
+        else:
+            # D5 twins land only here: they share a mask of each sign with x or y.
+            if zo == ox and zi == iy:
+                d5_z1.append(z)
+            if zi == ix and zo == oy:
+                d5_z2.append(z)
+    if d2_z1 is not None and d2_z2 is not None:
+        return DispensabilityWitness("D2", z1=d2_z1, z2=d2_z2, conditions=("3+", "3-"))
+    if d3 is not None:
+        return DispensabilityWitness("D3", z=d3, conditions=_tokens(out_m, x, y, d3, "+"))
+    if d4 is not None:
+        return DispensabilityWitness("D4", z=d4, conditions=_tokens(in_m, x, y, d4, "-"))
+    d5 = (DispensabilityWitness("D5", z1=a, z2=b) for a in d5_z1 for b in d5_z2 if a != b)
+    return next(d5, None)
 
 
 def dispensability(
@@ -128,39 +180,8 @@ def dispensability(
     module docstring states, or None when the arc survives."""
     _require_arc(g, x, y)
     out_m, in_m = g.out_mask, g.in_mask
-    d2_z1 = d2_z2 = d3 = d4 = None
-    d5_z1, d5_z2 = [], []
     cands = (1 << g.n) - 1 if exhaustive else (out_m[x] | in_m[x]) & (out_m[y] | in_m[y])
-    while cands:
-        low = cands & -cands
-        cands ^= low
-        z = low.bit_length() - 1
-        plus = _strict_conditions(out_m, x, y, z)
-        minus = _strict_conditions(in_m, x, y, z)
-        if plus and minus:
-            tokens = _tokens(plus, "+") + _tokens(minus, "-")
-            return DispensabilityWitness("D1", z=z, conditions=tokens)
-        if plus:
-            if d2_z1 is None and 3 in plus and _weak_condition(in_m, x, y, z):
-                d2_z1 = z
-            if d3 is None and in_m[z] in (in_m[x], in_m[y]):
-                d3 = DispensabilityWitness("D3", z=z, conditions=_tokens(plus, "+"))
-        elif minus:
-            if d2_z2 is None and 3 in minus and _weak_condition(out_m, x, y, z):
-                d2_z2 = z
-            if d4 is None and out_m[z] in (out_m[x], out_m[y]):
-                d4 = DispensabilityWitness("D4", z=z, conditions=_tokens(minus, "-"))
-        elif z != x and z != y:
-            # D5 twins land only here: sharing one mask of each sign with x
-            # or y rules out every strict condition of both signs.
-            if out_m[z] == out_m[x] and in_m[z] == in_m[y]:
-                d5_z1.append(z)
-            if in_m[z] == in_m[x] and out_m[z] == out_m[y]:
-                d5_z2.append(z)
-    if d2_z1 is not None and d2_z2 is not None:
-        return DispensabilityWitness("D2", z1=d2_z1, z2=d2_z2, conditions=("3+", "3-"))
-    d5 = (DispensabilityWitness("D5", z1=a, z2=b) for a in d5_z1 for b in d5_z2 if a != b)
-    return d3 or d4 or next(d5, None)
+    return _witness(out_m, in_m, x, y, cands & ~(1 << x | 1 << y))
 
 
 def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResult:
@@ -180,10 +201,14 @@ def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResul
             "the Cartesian skeleton and thin strong PFD require a thin graph; "
             "take the quotient first"
         )
+    out_m, in_m = g.out_mask, g.in_mask
     removed = []
     kept = []
     for arc in g.arcs:
-        witness = dispensability(g, arc[0], arc[1], exhaustive=exhaustive)
+        x, y = arc
+        cands = (1 << g.n) - 1 if exhaustive else (out_m[x] | in_m[x]) & (out_m[y] | in_m[y])
+        cands &= ~(1 << x | 1 << y)
+        witness = _witness(out_m, in_m, x, y, cands) if cands else None
         if witness is None:
             kept.append(arc)
         else:

@@ -13,7 +13,6 @@ from digraph_pfd.skeleton import (
     DispensabilityWitness,
     _require_arc,
     _strict_conditions,
-    _weak_condition,
 )
 
 
@@ -269,7 +268,13 @@ def reference_cartesian_pfd(g):
 
 # Reference skeleton rule: the dispensability body that rescanned per-candidate
 # condition lists once per rule.  The differential in test_skeleton.py checks
-# that the single pass reports the same witness on every arc.
+# that the skeleton kernel reports the same witness on every arc, through
+# dispensability and through cartesian_skeleton's ledger.
+
+
+def _weak_condition(masks, x, y, z):
+    mxy = masks[x] & masks[y]
+    return mxy & masks[z] == mxy
 
 
 def _candidates(g, x, y, exhaustive):

@@ -186,6 +186,16 @@ def test_factor_rejects_header_above_vertex_limit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["factor", "skeleton", "quotient"])
+def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe2 1\n0 1\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["factor"])

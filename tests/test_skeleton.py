@@ -143,26 +143,47 @@ def _relabelled_prime_products(count, seed):
     return graphs
 
 
+def _thin_small():
+    return [g for n in range(2, 5) for g in enumerate_connected_digraphs(n) if is_thin(g)]
+
+
+def _thin_random():
+    return [random_thin_digraph((3, 9), s) for s in range(300)]
+
+
 def test_dispensability_matches_reference_ledger():
     products = _relabelled_prime_products(100, 12)
     corpora = {
-        "thin n <= 4": [
-            g for n in range(2, 5) for g in enumerate_connected_digraphs(n) if is_thin(g)
-        ],
-        "random thin": [random_thin_digraph((3, 9), s) for s in range(300)],
+        "thin n <= 4": _thin_small(),
+        "random thin": _thin_random(),
         "product quotients": [quotient(g).quotient for g in products],
         "products": products,
     }
     rules = set()
     for name, graphs in corpora.items():
         for g in graphs:
-            for x, y in g.arcs:
-                for exhaustive in (False, True):
+            for exhaustive in (False, True):
+                ledger = []
+                for x, y in g.arcs:
                     want = reference_dispensability(g, x, y, exhaustive=exhaustive)
                     got = dispensability(g, x, y, exhaustive=exhaustive)
                     assert got == want, f"{name}: arc ({x}, {y}) of {g!r}"
                     rules.add(want and want.rule)
+                    if want is not None:
+                        ledger.append(((x, y), want))
+                if is_thin(g):  # the skeleton takes thin input only
+                    got = cartesian_skeleton(g, exhaustive=exhaustive).removed
+                    assert got == tuple(ledger), f"{name}: ledger of {g!r}"
     assert rules == {None, "D1", "D2", "D3", "D4", "D5"}
+
+
+def test_endpoints_never_witness():
+    # The kernel drops x and y from the candidates on this fact.
+    for g in _thin_small() + _thin_random():
+        for x, y in g.arcs:
+            for z in (x, y):
+                for sign in "+-":
+                    assert n_condition(g, x, y, z, sign) is None
 
 
 def test_cartesian_arc_survives():
