@@ -1,11 +1,12 @@
 """Prime factorization of connected digraphs over the Cartesian product.
 
 The undirected shadow is factored first: edges are merged by the equivalence
-closure of (a) opposite edges of any chordless square and (b) incident edges
-spanning zero or at least two chordless squares.  Directions are then
-reconciled: each round checks that the coloring is a product coloring, edge
-by edge, and whenever the two i-edges of a square with j-edges disagree on
-arc orientation, colors i and j cannot belong to different factors and are
+closure of (a) opposite edges of any chordless square, read once at its least
+corner, and (b) incident edges spanning zero or at least two chordless
+squares.  Directions are then reconciled: each round places the vertices by
+one breadth-first search and checks the product coloring edge by edge, and
+whenever the two i-edges of a square with j-edges disagree on arc
+orientation, colors i and j cannot belong to different factors and are
 merged; this repeats until no conflict remains, at which point the color
 classes are exactly the prime factors of the digraph.
 """
@@ -13,6 +14,8 @@ classes are exactly the prime factors of the digraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
 from typing import Mapping
 
 from .digraph import Digraph, UndirectedGraph
@@ -48,35 +51,45 @@ class EdgeColoring:
 
 
 def _closure_coloring(ug: UndirectedGraph) -> EdgeColoring:
-    """Equivalence closure of the chordless-square relation."""
-    edges = ug.edges
-    eidx = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))
+    """Equivalence closure of the chordless-square relation.
 
-    def edge(a: int, b: int) -> int:
-        return eidx[(a, b) if a < b else (b, a)]
+    At v, mid[x] lists the neighbours of v adjacent to x, for x outside N[v];
+    a non-adjacent pair (a, b) in mid[x] is the chordless square v-a-x-b,
+    whose opposite-edge unions are made at its least corner only.  va ~ vb
+    unless (a, b) spans exactly one chordless square."""
+    adj = ug.adj
+    eid: list[dict[int, int]] = [{} for _ in range(ug.n)]
+    for k, (u, w) in enumerate(ug.edges):
+        eid[u][w] = eid[w][u] = k
+    parent = list(range(len(ug.edges)))
 
     for v in range(ug.n):
-        nbrs = sorted(ug.adj[v])
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                a, b = nbrs[ai], nbrs[bi]
-                if a in ug.adj[b]:
-                    # The chord ab rules out any chordless square on (va, vb).
-                    _union(parent, edge(v, a), edge(v, b))
+        nbrs = sorted(adj[v])
+        closed = adj[v] | {v}
+        mid: dict[int, list[int]] = {}
+        for a in nbrs:
+            for x in adj[a] - closed:
+                mid.setdefault(x, []).append(a)
+        ev = eid[v]
+        squares: dict[Edge, int] = {}
+        for x, corners in mid.items():
+            least = v < x and v < corners[0]
+            for a, b in combinations(corners, 2):
+                if b in adj[a]:
                     continue
-                fourth = sorted((ug.adj[a] & ug.adj[b]) - ug.adj[v] - {v})
-                if len(fourth) != 1:
-                    _union(parent, edge(v, a), edge(v, b))
-                for x in fourth:
-                    _union(parent, edge(v, a), edge(b, x))
-                    _union(parent, edge(v, b), edge(a, x))
+                squares[a, b] = squares.get((a, b), 0) + 1
+                if least:
+                    _union(parent, ev[a], eid[b][x])
+                    _union(parent, ev[b], eid[a][x])
+        if len(squares) == sum(squares.values()) == len(nbrs) * (len(nbrs) - 1) // 2:
+            continue  # every pair of neighbours spans exactly one square
+        for a, b in combinations(nbrs, 2):
+            if squares.get((a, b)) != 1:
+                _union(parent, ev[a], ev[b])
 
-    roots = sorted({_find(parent, i) for i in range(len(edges))})
-    relabel = {r: i for i, r in enumerate(roots)}
-    return EdgeColoring(
-        {e: relabel[_find(parent, i)] for i, e in enumerate(edges)}, len(roots)
-    )
+    roots = [_find(parent, i) for i in range(len(ug.edges))]
+    relabel = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return EdgeColoring({e: relabel[r] for e, r in zip(ug.edges, roots)}, len(relabel))
 
 
 def _merge_colors(coloring: EdgeColoring, pairs) -> EdgeColoring:
@@ -102,65 +115,72 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
     mixed-radix grid id of coords[v] (last factor fastest), and
     factor_edges[i] holds the factor-i edges as rank pairs.
 
-    An i-edge joins two vertices in the same non-j component for every
-    j != i, so it differs in coordinate i alone.  With the coordinates a
-    bijection onto the grid, the edges are exactly those of the product of
-    the factors once every i-edge lies along a factor-i edge and
-    |E| = sum_i |E_i| * n / |V_i|.
+    One breadth-first search from 0 places every vertex v: it copies the
+    coordinates of an earlier-level neighbour across an i-edge, then takes
+    coordinate i from an earlier-level neighbour across an edge of another
+    color, or else from its rank in positions[i].  In a product every
+    non-zero coordinate j of v gives v an earlier-level j-neighbour, so these
+    are the product coordinates.  The result certifies itself: a bijection
+    onto the grid, every i-edge changing coordinate i alone along a factor-i
+    edge, and |E| = sum_i |E_i| * n / |V_i| make the edges exactly those of
+    the product of the factors.
     """
     n = ug.n
     count = coloring.count
+    colors = coloring.colors
     by_color: list[list[Edge]] = [[] for _ in range(count)]
-    for e, i in coloring.colors.items():
+    for e, i in colors.items():
         by_color[i].append(e)
 
     positions: list[list[int]] = []
-    total = 1
     for i in range(count):
         parent = list(range(n))
         for u, v in by_color[i]:
             _union(parent, u, v)
         positions.append([v for v in range(n) if _find(parent, v) == 0])
-        total *= len(positions[i])
-    if total != n:
+    if prod(map(len, positions)) != n:
         return None
+    ranks = [{p: r for r, p in enumerate(layer)} for layer in positions]
+    stride = [prod(map(len, positions[i + 1 :])) for i in range(count)]
 
-    coords = [[0] * count for _ in range(n)]
-    for i in range(count):
-        parent = list(range(n))
-        for j in range(count):
-            if j != i:
-                for u, v in by_color[j]:
-                    _union(parent, u, v)
-        rank: dict[int, int] = {}
-        for r, p in enumerate(positions[i]):
-            if rank.setdefault(_find(parent, p), r) != r:
-                return None
-        for v in range(n):
-            r = rank.get(_find(parent, v))
+    coords: list[list[int]] = [[0] * count] * n  # each v > 0 gets its own copy
+    gid = [0] * n
+    adj = ug.adj
+    level = [-1] * n
+    level[0] = 0
+    order = [0]
+    for v in order:
+        below, j = level[v] - 1, None
+        for w in adj[v]:
+            lw = level[w]
+            if lw < 0:
+                level[w] = below + 2
+                order.append(w)
+            elif lw == below:
+                i = colors.get((v, w) if v < w else (w, v))
+                if i is None:
+                    return None
+                if j is None:
+                    u, j, r = w, i, ranks[i].get(v)
+                elif i != j:
+                    r = coords[w][j]
+        if j is not None:
             if r is None:
                 return None
-            coords[v][i] = r
-
-    gid = [0] * n
-    vid = [-1] * n
-    for v, c in enumerate(coords):
-        x = 0
-        for i in range(count):
-            x = x * len(positions[i]) + c[i]
-        if vid[x] >= 0:
-            return None
-        gid[v] = x
-        vid[x] = v
+            coords[v] = c = coords[u][:]
+            c[j] = r
+            gid[v] = gid[u] + (r - coords[u][j]) * stride[j]
+    if len(order) != n or len(set(gid)) != n:
+        return None
 
     factor_edges: list[list[Edge]] = []
     copies = 0
-    for i in range(count):
-        members = set(positions[i])
-        inside = {(coords[u][i], coords[v][i]) for u, v in by_color[i] if u in members}
-        for u, v in by_color[i]:
+    for i, edges in enumerate(by_color):
+        rank, step = ranks[i], stride[i]
+        inside = {(rank[u], rank[v]) for u, v in edges if u in rank}
+        for u, v in edges:
             s, t = coords[u][i], coords[v][i]
-            if (min(s, t), max(s, t)) not in inside:
+            if gid[u] - gid[v] != (s - t) * step or ((s, t) if s < t else (t, s)) not in inside:
                 return None
         factor_edges.append(sorted(inside))
         copies += len(inside) * (n // len(positions[i]))

@@ -27,7 +27,7 @@ from .strong_pfd import strong_pfd
 
 def _read_graph(path: str) -> Digraph:
     try:
-        return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+        return parse_edge_list(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -7,7 +7,7 @@ from digraph_pfd import (
     s_partition,
     strong_product,
 )
-from digraph_pfd.cartesian_pfd import _closure_coloring, _find, _merge_colors, _union
+from digraph_pfd.cartesian_pfd import EdgeColoring, _find, _merge_colors, _union
 from digraph_pfd.errors import InvalidColoringError
 from digraph_pfd.skeleton import (
     DispensabilityWitness,
@@ -123,8 +123,44 @@ def quotient_product_mapping(a, b):
 
 
 # Reference Cartesian checks: the quadratic loops that cartesian_pfd used
-# before its per-edge coordinate check and local-square conflict test.  The
-# equivalence tests compare the two on every graph set they draw.
+# before its per-edge coordinate check, local-square conflict test and
+# least-corner square closure.  The equivalence tests compare the two on
+# every graph set they draw.
+
+
+def reference_closure_coloring(ug):
+    """Equivalence closure of the chordless-square relation, read at every
+    corner: for each pair (a, b) of neighbours of v, va ~ vb unless a and b
+    are non-adjacent with exactly one common neighbour x outside N[v], and
+    va ~ bx, vb ~ ax for every such x."""
+    edges = ug.edges
+    eidx = {e: i for i, e in enumerate(edges)}
+    parent = list(range(len(edges)))
+
+    def edge(a, b):
+        return eidx[(a, b) if a < b else (b, a)]
+
+    for v in range(ug.n):
+        nbrs = sorted(ug.adj[v])
+        for ai in range(len(nbrs)):
+            for bi in range(ai + 1, len(nbrs)):
+                a, b = nbrs[ai], nbrs[bi]
+                if a in ug.adj[b]:
+                    # The chord ab rules out any chordless square on (va, vb).
+                    _union(parent, edge(v, a), edge(v, b))
+                    continue
+                fourth = sorted((ug.adj[a] & ug.adj[b]) - ug.adj[v] - {v})
+                if len(fourth) != 1:
+                    _union(parent, edge(v, a), edge(v, b))
+                for x in fourth:
+                    _union(parent, edge(v, a), edge(b, x))
+                    _union(parent, edge(v, b), edge(a, x))
+
+    roots = sorted({_find(parent, i) for i in range(len(edges))})
+    relabel = {r: i for i, r in enumerate(roots)}
+    return EdgeColoring(
+        {e: relabel[_find(parent, i)] for i, e in enumerate(edges)}, len(roots)
+    )
 
 
 def reference_coordinatize(ug, coloring):
@@ -234,7 +270,7 @@ def reference_cartesian_pfd(g):
     """(factors, coords) as cartesian_pfd computed them with the reference
     checks; g is connected with at least two vertices."""
     ug = g.underlying_undirected()
-    coloring = _closure_coloring(ug)
+    coloring = reference_closure_coloring(ug)
     while reference_coordinatize(ug, coloring) is None:
         coloring = _merge_colors(coloring, [(0, 1)])
     while True:

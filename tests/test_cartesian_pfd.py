@@ -122,6 +122,14 @@ def test_missing_edges_rejected():
         direction_conflicts(g, EdgeColoring({}, 0))
 
 
+def test_disconnected_coloring_rejected():
+    # The layer sizes 2 * 2 match n = 4, so only the unreached vertex 3
+    # shows that this is no product coloring.
+    g = Digraph(4, [(0, 1), (0, 2)])
+    with pytest.raises(InvalidColoringError, match="not a product coloring"):
+        direction_conflicts(g, EdgeColoring({(0, 1): 0, (0, 2): 1}, 2))
+
+
 def test_k1_factors_to_itself():
     f = cartesian_pfd(k1())
     assert [x.n for x in f.factors] == [1]

@@ -196,6 +196,18 @@ def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    text = serialize_edge_list(strong_product([p2(), c3()]).graph)
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["factor", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["factor", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["factor"])

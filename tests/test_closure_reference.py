@@ -1,0 +1,72 @@
+"""The least-corner square closure gives the same EdgeColoring as the
+reference closure in helpers.py, which reads every square at all four
+corners: on every connected labelled graph with at most 5 vertices, and on
+the shadows of Cartesian skeletons and of benchmark-style products."""
+
+from itertools import combinations
+
+from digraph_pfd import (
+    Digraph,
+    UndirectedGraph,
+    cartesian_product,
+    cartesian_skeleton,
+    random_thin_digraph,
+    strong_product,
+)
+from digraph_pfd.cartesian_pfd import _closure_coloring
+from digraph_pfd.oracle import SplitMix64
+
+from helpers import reference_closure_coloring
+
+
+def assert_same_closure(ug):
+    assert _closure_coloring(ug) == reference_closure_coloring(ug)
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    SplitMix64(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_every_connected_graph_up_to_five_vertices():
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            ug = UndirectedGraph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            if ug.is_connected():
+                assert_same_closure(ug)
+                checked += 1
+    assert checked == 1 + 1 + 4 + 38 + 728
+
+
+def test_wheel_w4_is_one_color():
+    # Hub 0 on the rim 1-3-2-4-1.  At the rim vertex 3, the chord pair
+    # (0, 1) has exactly one common neighbour outside N[3], the vertex 4, yet
+    # 30 ~ 31 still holds: a chord pair always joins its two edges.
+    ug = UndirectedGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
+    coloring = _closure_coloring(ug)
+    assert coloring.count == 1
+    assert coloring == reference_closure_coloring(ug)
+
+
+def test_skeleton_shadows():
+    for s in range(40):
+        factors = [random_thin_digraph((2, 4), s * 10 + k) for k in range(2 + s % 2)]
+        g = strong_product(factors).graph
+        assert_same_closure(g.underlying_undirected())
+        skeleton = cartesian_skeleton(g).skeleton
+        assert_same_closure(relabelled(skeleton, s).underlying_undirected())
+
+
+def test_product_shadows():
+    arc = Digraph(2, [(0, 1)])
+    graphs = [cartesian_product([arc] * k).graph for k in range(2, 9)]
+    for m in (3, 4, 8, 16):
+        cycle = Digraph(m, [(i, (i + 1) % m) for i in range(m)])
+        graphs.append(cartesian_product([cycle, cycle]).graph)
+    graphs.append(Digraph(400, [(i, i + 1) for i in range(399)]))
+    for s, g in enumerate(graphs):
+        assert_same_closure(g.underlying_undirected())
+        assert_same_closure(relabelled(g, s).underlying_undirected())
