@@ -1,14 +1,14 @@
 """Prime factorization of connected digraphs over the Cartesian product.
 
-The undirected shadow is factored first: edges are merged by the equivalence
-closure of (a) opposite edges of any chordless square, read once at its least
-corner, and (b) incident edges spanning zero or at least two chordless
-squares.  Directions are then reconciled: each round places the vertices by
-one breadth-first search and checks the product coloring edge by edge, and
-whenever the two i-edges of a square with j-edges disagree on arc
-orientation, colors i and j cannot belong to different factors and are
-merged; this repeats until no conflict remains, at which point the color
-classes are exactly the prime factors of the digraph.
+One equivalence closure colours the edges of the undirected shadow.  It
+joins (a) the opposite edges of every chordless square, (b) two edges va, vb
+at a vertex v unless (a, b) spans exactly one chordless square, and (c) the
+two edges at a corner of every misoriented chordless square, where an edge
+and its opposite edge carry different arcs: the two copies of a factor that
+such a square joins differ as digraphs, so its edges lie in one factor.  Each
+square is read once, at its least corner, and there are no merge rounds.  One
+breadth-first placement then checks the colouring edge by edge, and its
+colour classes are the prime factors.
 """
 
 from __future__ import annotations
@@ -50,12 +50,14 @@ class EdgeColoring:
     count: int
 
 
-def _closure_coloring(ug: UndirectedGraph) -> EdgeColoring:
-    """Equivalence closure of the chordless-square relation.
+def _closure_coloring(ug: UndirectedGraph, arcs: frozenset[Edge]) -> EdgeColoring:
+    """Equivalence closure of the chordless-square relation of the shadow ug
+    of a digraph with arc set arcs.
 
     At v, mid[x] lists the neighbours of v adjacent to x, for x outside N[v];
     a non-adjacent pair (a, b) in mid[x] is the chordless square v-a-x-b,
-    whose opposite-edge unions are made at its least corner only.  va ~ vb
+    whose unions are made at its least corner only: va ~ bx and vb ~ ax, and
+    va ~ vb when va and bx, or vb and ax, carry different arcs.  va ~ vb also
     unless (a, b) spans exactly one chordless square."""
     adj = ug.adj
     eid: list[dict[int, int]] = [{} for _ in range(ug.n)]
@@ -81,6 +83,10 @@ def _closure_coloring(ug: UndirectedGraph) -> EdgeColoring:
                 if least:
                     _union(parent, ev[a], eid[b][x])
                     _union(parent, ev[b], eid[a][x])
+                    if ((v, a) in arcs, (a, v) in arcs, (v, b) in arcs, (b, v) in arcs) != (
+                        (b, x) in arcs, (x, b) in arcs, (a, x) in arcs, (x, a) in arcs
+                    ):
+                        _union(parent, ev[a], ev[b])
         if len(squares) == sum(squares.values()) == len(nbrs) * (len(nbrs) - 1) // 2:
             continue  # every pair of neighbours spans exactly one square
         for a, b in combinations(nbrs, 2):
@@ -90,20 +96,6 @@ def _closure_coloring(ug: UndirectedGraph) -> EdgeColoring:
     roots = [_find(parent, i) for i in range(len(ug.edges))]
     relabel = {r: i for i, r in enumerate(sorted(set(roots)))}
     return EdgeColoring({e: relabel[r] for e, r in zip(ug.edges, roots)}, len(relabel))
-
-
-def _merge_colors(coloring: EdgeColoring, pairs) -> EdgeColoring:
-    parent = list(range(coloring.count))
-    for i, j in pairs:
-        _union(parent, i, j)
-    order: dict[int, int] = {}
-    colors = {}
-    for e in sorted(coloring.colors):
-        root = _find(parent, coloring.colors[e])
-        if root not in order:
-            order[root] = len(order)
-        colors[e] = order[root]
-    return EdgeColoring(colors, len(order))
 
 
 def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
@@ -196,7 +188,7 @@ def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
         raise NotConnectedError("Cartesian PFD requires a connected graph")
     if ug.n <= 1:
         return EdgeColoring({}, 0)
-    return _closure_coloring(ug)
+    return _closure_coloring(ug, frozenset())
 
 
 def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
@@ -245,27 +237,20 @@ def direction_conflicts(g: Digraph, coloring: EdgeColoring) -> list[tuple[int, i
 
 def cartesian_pfd(g: Digraph) -> Factorization:
     """Unique prime factorization of a connected digraph over the Cartesian
-    product: undirected PFD of the shadow, then direction-conflict merging.
-    Each merge round coordinatizes once; the factors are read from the
-    placement of the round that shows no conflict.  Connectivity is checked
-    once, on the shadow, by undirected_cartesian_pfd."""
+    product: one closure of the shadow with its arcs, one placement, and the
+    factors read off that placement."""
     if g.n == 0:
         return Factorization((), ())
     if g.n == 1:
         return Factorization((g,), ((0,),))
     ug = g.underlying_undirected()
-    coloring = undirected_cartesian_pfd(ug)
-    while True:
-        placed = _check_coloring(ug, coloring)
-        conflicts = _conflicts(g, ug, coloring, placed)
-        if not conflicts:
-            break
-        coloring = _merge_colors(coloring, conflicts)
-    positions, coords, _, factor_edges = placed
+    if not ug.is_connected():
+        raise NotConnectedError("Cartesian PFD requires a connected graph")
+    arcs = g.arc_set
+    positions, coords, _, factor_edges = _check_coloring(ug, _closure_coloring(ug, arcs))
 
     # The factor-i layer through vertex 0 holds positions[i] itself, so a
     # factor arc is read straight off the arcs between those vertices.
-    arcs = g.arc_set
     factors = []
     for layer, edges in zip(positions, factor_edges):
         fa = [(s, t) for s, t in edges if (layer[s], layer[t]) in arcs]

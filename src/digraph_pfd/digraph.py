@@ -127,7 +127,7 @@ class Digraph:
 
     def relabel(self, perm: Sequence[int]) -> "Digraph":
         """Return the image of this graph under the permutation v -> perm[v]."""
-        if len(perm) != self.n or len(set(perm)) != self.n:
+        if sorted(perm) != list(range(self.n)):
             raise VertexOutOfRangeError("relabeling must be a permutation of 0..n-1")
         return Digraph(self.n, [(perm[u], perm[v]) for u, v in self.arcs])
 

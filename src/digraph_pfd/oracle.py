@@ -261,6 +261,8 @@ def brute_force_strong_pfd(g: Digraph, cfg: OracleConfig | None = None) -> Facto
         )
     if not g.is_connected():
         raise NotConnectedError("oracle factorization requires a connected graph")
+    if g.n == 0:
+        return Factorization((), ())
     return _factor_recursive(g, _Budget(cfg.time_budget))
 
 
@@ -292,6 +294,13 @@ def enumerate_connected_digraphs(n: int):
 _MAX_DRAWS = 100_000
 
 
+def _vertex_range(n_range: tuple[int, int]) -> tuple[int, int]:
+    lo, hi = n_range
+    if not 0 <= lo <= hi:
+        raise VertexOutOfRangeError(f"vertex range {lo}..{hi} needs 0 <= lo <= hi")
+    return lo, hi
+
+
 def _random_digraph(rng: SplitMix64, n: int, symmetric: bool) -> Digraph:
     arcs = []
     for u in range(n):
@@ -314,7 +323,7 @@ def random_connected_digraph(
 ) -> Digraph:
     """Seeded rejection sampler for connected digraphs; deterministic per seed."""
     rng = SplitMix64(seed)
-    lo, hi = n_range
+    lo, hi = _vertex_range(n_range)
     for _ in range(_MAX_DRAWS):
         g = _random_digraph(rng, lo + rng.below(hi - lo + 1), symmetric)
         if g.is_connected():
@@ -328,7 +337,7 @@ def random_thin_digraph(
     """Connected thin digraph, redrawn until every neighborhood class is
     trivial."""
     rng = SplitMix64(seed)
-    lo, hi = n_range
+    lo, hi = _vertex_range(n_range)
     for _ in range(_MAX_DRAWS):
         g = _random_digraph(rng, lo + rng.below(hi - lo + 1), symmetric)
         if g.is_connected() and is_thin(g):
@@ -340,7 +349,7 @@ def random_prime_digraph(
     n_range: tuple[int, int], seed: int, cfg: OracleConfig | None = None
 ) -> Digraph:
     """Connected digraph certified prime by the brute-force factorizer."""
-    lo, hi = n_range
+    lo, hi = _vertex_range(n_range)
     if lo < 2:
         raise VertexOutOfRangeError("prime graphs need at least 2 vertices")
     cfg = cfg or OracleConfig(max_vertices=max(hi, 10))

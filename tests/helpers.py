@@ -3,12 +3,14 @@
 from digraph_pfd import (
     Digraph,
     canonical_form,
+    cartesian_product,
     complete_digraph,
     s_partition,
     strong_product,
 )
-from digraph_pfd.cartesian_pfd import EdgeColoring, _find, _merge_colors, _union
+from digraph_pfd.cartesian_pfd import EdgeColoring, _find, _union
 from digraph_pfd.errors import InvalidColoringError
+from digraph_pfd.oracle import SplitMix64
 from digraph_pfd.skeleton import (
     DispensabilityWitness,
     _require_arc,
@@ -81,6 +83,18 @@ def random_orientation(g, rng):
     return Digraph(g.n, arcs)
 
 
+def oriented_products(count, seed):
+    """Seeded orientations of Cartesian products of 2-3 undirected paths and
+    cycles: their shadows factor while most of them do not, so misoriented
+    squares join factors of the shadow."""
+    graphs = []
+    for s in range(count):
+        rng = SplitMix64(seed * 1000 + s)
+        shapes = [undirected_shape(rng) for _ in range(2 + rng.below(2))]
+        graphs.append(random_orientation(cartesian_product(shapes).graph, rng))
+    return graphs
+
+
 def factor_forms(factors):
     """Multiset (sorted tuple) of canonical forms, for up-to-iso comparison."""
     return sorted(canonical_form(f) for f in factors)
@@ -126,6 +140,22 @@ def quotient_product_mapping(a, b):
 # before its per-edge coordinate check, local-square conflict test and
 # least-corner square closure.  The equivalence tests compare the two on
 # every graph set they draw.
+
+
+def merge_colors(coloring, pairs):
+    """The coloring with each pair of colors (i, j) joined, colors numbered
+    by their least edge in sorted order."""
+    parent = list(range(coloring.count))
+    for i, j in pairs:
+        _union(parent, i, j)
+    order = {}
+    colors = {}
+    for e in sorted(coloring.colors):
+        root = _find(parent, coloring.colors[e])
+        if root not in order:
+            order[root] = len(order)
+        colors[e] = order[root]
+    return EdgeColoring(colors, len(order))
 
 
 def reference_closure_coloring(ug):
@@ -266,18 +296,22 @@ def reference_direction_conflicts(g, coloring):
     return sorted(conflicts)
 
 
+def merge_conflicts(g, coloring):
+    """The coloring with the two colors of every direction conflict of g
+    merged, round after round, until no conflict is left."""
+    while conflicts := reference_direction_conflicts(g, coloring):
+        coloring = merge_colors(coloring, conflicts)
+    return coloring
+
+
 def reference_cartesian_pfd(g):
     """(factors, coords) as cartesian_pfd computed them with the reference
     checks; g is connected with at least two vertices."""
     ug = g.underlying_undirected()
     coloring = reference_closure_coloring(ug)
     while reference_coordinatize(ug, coloring) is None:
-        coloring = _merge_colors(coloring, [(0, 1)])
-    while True:
-        conflicts = reference_direction_conflicts(g, coloring)
-        if not conflicts:
-            break
-        coloring = _merge_colors(coloring, conflicts)
+        coloring = merge_colors(coloring, [(0, 1)])
+    coloring = merge_conflicts(g, coloring)
     positions, coords, factor_edges = _reference_placement(g, coloring)
 
     factors = []

@@ -15,19 +15,19 @@ from digraph_pfd import (
     random_connected_digraph,
     undirected_cartesian_pfd,
 )
-from digraph_pfd.cartesian_pfd import _coordinatize, _merge_colors
+from digraph_pfd.cartesian_pfd import _coordinatize
 from digraph_pfd.errors import InvalidColoringError
 from digraph_pfd.oracle import SplitMix64
 
 from helpers import (
     c3,
     conflict_square,
+    merge_colors,
+    oriented_products,
     p2,
-    random_orientation,
     reference_cartesian_pfd,
     reference_coordinatize,
     reference_direction_conflicts,
-    undirected_shape,
 )
 
 
@@ -48,18 +48,6 @@ def relabelled_products(count, seed):
         perm = list(range(g.n))
         rng.shuffle(perm)
         graphs.append(g.relabel(perm))
-    return graphs
-
-
-def oriented_products(count, seed):
-    """Seeded orientations of Cartesian products of 2-3 undirected paths and
-    cycles: their shadows factor while most of them do not, so the conflict
-    merging runs."""
-    graphs = []
-    for s in range(count):
-        rng = SplitMix64(seed * 1000 + s)
-        shapes = [undirected_shape(rng) for _ in range(2 + rng.below(2))]
-        graphs.append(random_orientation(cartesian_product(shapes).graph, rng))
     return graphs
 
 
@@ -104,7 +92,7 @@ def coarsenings(coloring):
     yield coloring
     for i in range(coloring.count):
         for j in range(i + 1, coloring.count):
-            yield _merge_colors(coloring, [(i, j)])
+            yield merge_colors(coloring, [(i, j)])
 
 
 def random_colorings(g, rng, count):

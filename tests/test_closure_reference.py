@@ -1,7 +1,9 @@
 """The least-corner square closure gives the same EdgeColoring as the
 reference closure in helpers.py, which reads every square at all four
 corners: on every connected labelled graph with at most 5 vertices, and on
-the shadows of Cartesian skeletons and of benchmark-style products."""
+the shadows of Cartesian skeletons and of benchmark-style products.  With
+the arcs of a digraph it gives the reference closure coarsened by direction
+conflicts until none is left."""
 
 from itertools import combinations
 
@@ -10,17 +12,18 @@ from digraph_pfd import (
     UndirectedGraph,
     cartesian_product,
     cartesian_skeleton,
+    enumerate_connected_digraphs,
     random_thin_digraph,
     strong_product,
 )
 from digraph_pfd.cartesian_pfd import _closure_coloring
 from digraph_pfd.oracle import SplitMix64
 
-from helpers import reference_closure_coloring
+from helpers import merge_conflicts, oriented_products, reference_closure_coloring
 
 
 def assert_same_closure(ug):
-    assert _closure_coloring(ug) == reference_closure_coloring(ug)
+    assert _closure_coloring(ug, frozenset()) == reference_closure_coloring(ug)
 
 
 def relabelled(g, seed):
@@ -46,7 +49,7 @@ def test_wheel_w4_is_one_color():
     # (0, 1) has exactly one common neighbour outside N[3], the vertex 4, yet
     # 30 ~ 31 still holds: a chord pair always joins its two edges.
     ug = UndirectedGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
-    coloring = _closure_coloring(ug)
+    coloring = _closure_coloring(ug, frozenset())
     assert coloring.count == 1
     assert coloring == reference_closure_coloring(ug)
 
@@ -70,3 +73,27 @@ def test_product_shadows():
     for s, g in enumerate(graphs):
         assert_same_closure(g.underlying_undirected())
         assert_same_closure(relabelled(g, s).underlying_undirected())
+
+
+def assert_same_oriented_closure(g):
+    ug = g.underlying_undirected()
+    assert _closure_coloring(ug, g.arc_set) == merge_conflicts(g, reference_closure_coloring(ug))
+
+
+def test_every_connected_digraph_up_to_four_vertices():
+    checked = 0
+    for n in range(1, 5):
+        for g in enumerate_connected_digraphs(n):
+            assert_same_oriented_closure(g)
+            checked += 1
+    assert checked == 1 + 2 + 13 + 199
+
+
+def test_oriented_products():
+    merged = 0
+    for g in oriented_products(60, seed=8):
+        assert_same_oriented_closure(g)
+        ug = g.underlying_undirected()
+        oriented, undirected = _closure_coloring(ug, g.arc_set), _closure_coloring(ug, frozenset())
+        merged += oriented.count < undirected.count
+    assert merged >= 30

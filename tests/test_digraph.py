@@ -106,6 +106,8 @@ def test_relabel_swaps():
 def test_relabel_requires_permutation():
     with pytest.raises(VertexOutOfRangeError):
         p2().relabel([0, 0])
+    with pytest.raises(VertexOutOfRangeError):
+        Digraph(2).relabel([5, 6])
 
 
 @given(digraphs())

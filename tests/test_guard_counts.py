@@ -1,7 +1,9 @@
 """Each public factorizer guards its input once per stage that needs it and
 certifies only the result it returns: connectivity searches and product
 certificates counted on a thin strong product, the same product times K2,
-a non-thin prime over a composite quotient, and a Cartesian product."""
+a non-thin prime over a composite quotient, and a Cartesian product.
+cartesian_pfd places the vertices once per call, also when misoriented
+squares join factors of the shadow."""
 
 import importlib
 
@@ -10,7 +12,7 @@ import pytest
 from digraph_pfd import blowup, cartesian_product, strong_product
 from digraph_pfd.digraph import Digraph, UndirectedGraph
 
-from helpers import c3, k2, p2
+from helpers import c3, conflict_square, k2, oriented_products, p2
 
 strong_pfd_mod = importlib.import_module("digraph_pfd.strong_pfd")
 cartesian_pfd_mod = importlib.import_module("digraph_pfd.cartesian_pfd")
@@ -68,3 +70,14 @@ def test_one_guard_per_stage_and_one_certificate(monkeypatch, case):
     module = strong_pfd_mod if fn == "strong_pfd" else cartesian_pfd_mod
     assert len(getattr(module, fn)(g).factors) == factors
     assert (counts["bfs"], counts["strong"], counts["cartesian"]) == (bfs, strong, cartesian)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [conflict_square(), cartesian_product([p2(), c3()]).graph, *oriented_products(10, seed=3)],
+)
+def test_cartesian_pfd_places_once(monkeypatch, g):
+    counts = {"placements": 0}
+    _count(monkeypatch, cartesian_pfd_mod, "_coordinatize", counts, "placements")
+    cartesian_pfd_mod.cartesian_pfd(g)
+    assert counts["placements"] == 1

@@ -145,3 +145,11 @@ def test_prime_sampler_postcondition():
 def test_prime_sampler_rejects_k1_range():
     with pytest.raises(VertexOutOfRangeError):
         random_prime_digraph((1, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "sampler", [random_connected_digraph, random_thin_digraph, random_prime_digraph]
+)
+def test_samplers_reject_inverted_range(sampler):
+    with pytest.raises(VertexOutOfRangeError):
+        sampler((5, 3), 0)

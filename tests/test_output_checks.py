@@ -16,6 +16,7 @@ import digraph_pfd
 from digraph_pfd import (
     Digraph,
     Factorization,
+    brute_force_strong_pfd,
     cartesian_pfd,
     cartesian_product,
     complete_digraph,
@@ -96,6 +97,14 @@ def test_empty_graph_has_no_factors(tmp_path, capsys, kind, factorize):
     path = tmp_path / "empty.txt"
     path.write_text("0 0\n", encoding="utf-8")
     assert main(["factor", "--kind", kind, str(path)]) == 0
+    assert capsys.readouterr().out == "0\n---\n"
+
+
+def test_oracle_empty_graph_has_no_factors(tmp_path, capsys):
+    assert brute_force_strong_pfd(Digraph(0)) == Factorization((), ())
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n", encoding="utf-8")
+    assert main(["oracle-factor", str(path)]) == 0
     assert capsys.readouterr().out == "0\n---\n"
 
 
