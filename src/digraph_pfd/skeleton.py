@@ -35,13 +35,16 @@ all of them, and stops at the first D1 witness.  Conditions are tested
 inline against per-arc constants of each sign: cond 1 or 2 asks N[z] to lie
 strictly between N[x] & N[y] and N[x] | N[y] when one of N[x], N[y] holds the
 other, cond 3 to contain N[x] & N[y] and meet N[x] - N[y] and N[y] - N[x]
-when neither does.  Tokens are built for the returned witness only.
+when neither does.  So one strict condition at most holds per sign, and the
+nesting of N[x] and N[y] names it in the ledger's token.  Every rule reads the
+same with x and y swapped, so the skeleton gives yx the witness of xy, D5's
+(z1, z2) swapped, and builds its ledger on first read (see README step 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .digraph import Arc, Digraph, _check_endpoint
 from .errors import ArcNotPresentError, NotConnectedError, NotThinError
@@ -65,12 +68,31 @@ class DispensabilityWitness:
     conditions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class SkeletonResult:
-    """Spanning skeleton plus the per-arc removal ledger, in arc order."""
+    """Spanning skeleton plus the per-arc removal ledger, in arc order.
 
-    skeleton: Digraph
-    removed: tuple[tuple[Arc, DispensabilityWitness], ...]
+    `removed` may be a function that builds the ledger on first read; equality,
+    hash and repr read the ledger, as a frozen dataclass's would."""
+
+    def __init__(self, skeleton: Digraph, removed: tuple | Callable[[], tuple]) -> None:
+        self.skeleton, self._removed = skeleton, removed
+
+    @property
+    def removed(self) -> tuple[tuple[Arc, DispensabilityWitness], ...]:
+        if callable(self._removed):
+            self._removed = self._removed()
+        return self._removed
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SkeletonResult:
+            return NotImplemented
+        return (self.skeleton, self.removed) == (other.skeleton, other.removed)
+
+    def __hash__(self) -> int:
+        return hash((self.skeleton, self.removed))
+
+    def __repr__(self) -> str:
+        return f"SkeletonResult(skeleton={self.skeleton!r}, removed={self.removed!r})"
 
 
 def _strict_conditions(masks: Sequence[int], x: int, y: int, z: int) -> tuple[int, ...]:
@@ -118,14 +140,20 @@ def weak_n_condition(g: Digraph, x: int, y: int, z: int, sign: Sign) -> bool:
     return masks[x] & masks[y] & masks[z] == masks[x] & masks[y]
 
 
-def _tokens(masks: Sequence[int], x: int, y: int, z: int, sign: Sign) -> tuple[str, ...]:
-    return tuple(f"{c}{sign}" for c in _strict_conditions(masks, x, y, z))
+def _as_witness(out_m, in_m, x: int, y: int, record: tuple) -> DispensabilityWitness:
+    """The ledger entry for a kernel record of arc xy, tokens by nesting."""
+    tokens = tuple(
+        f"{1 if m[x] & m[y] == m[x] else 2 if m[x] & m[y] == m[y] else 3}{sign}"
+        for sign, m, rules in (("+", out_m, ("D1", "D2", "D3")), ("-", in_m, ("D1", "D2", "D4")))
+        if record[0] in rules
+    )
+    return DispensabilityWitness(*record, conditions=tokens)
 
 
 def _witness(
     out_m: Sequence[int], in_m: Sequence[int], x: int, y: int, cands: int
-) -> DispensabilityWitness | None:
-    """The witness dispensability reports for arc xy among cands (no x, y)."""
+) -> tuple | None:
+    """(rule, z, z1, z2) of the witness for arc xy among cands (no x, y)."""
     ox, oy, ix, iy = out_m[x], out_m[y], in_m[x], in_m[y]
     # Per sign, as the module docstring says; "cross": neither holds the other.
     o_and, o_or, ox_only, oy_only = ox & oy, ox | oy, ox & ~oy, oy & ~ox
@@ -145,8 +173,7 @@ def _witness(
             zi & ix_only and zi & iy_only if i_cross else zi | i_or == i_or and i_and != zi != i_or
         )
         if plus and minus:
-            tokens = _tokens(out_m, x, y, z, "+") + _tokens(in_m, x, y, z, "-")
-            return DispensabilityWitness("D1", z=z, conditions=tokens)
+            return ("D1", z, None, None)
         if plus:
             if d2_z1 is None and o_cross and zi & i_and == i_and:
                 d2_z1 = z
@@ -164,13 +191,12 @@ def _witness(
             if zi == ix and zo == oy:
                 d5_z2.append(z)
     if d2_z1 is not None and d2_z2 is not None:
-        return DispensabilityWitness("D2", z1=d2_z1, z2=d2_z2, conditions=("3+", "3-"))
+        return ("D2", None, d2_z1, d2_z2)
     if d3 is not None:
-        return DispensabilityWitness("D3", z=d3, conditions=_tokens(out_m, x, y, d3, "+"))
+        return ("D3", d3, None, None)
     if d4 is not None:
-        return DispensabilityWitness("D4", z=d4, conditions=_tokens(in_m, x, y, d4, "-"))
-    d5 = (DispensabilityWitness("D5", z1=a, z2=b) for a in d5_z1 for b in d5_z2 if a != b)
-    return next(d5, None)
+        return ("D4", d4, None, None)
+    return next((("D5", None, a, b) for a in d5_z1 for b in d5_z2 if a != b), None)
 
 
 def dispensability(
@@ -181,7 +207,8 @@ def dispensability(
     _require_arc(g, x, y)
     out_m, in_m = g.out_mask, g.in_mask
     cands = (1 << g.n) - 1 if exhaustive else (out_m[x] | in_m[x]) & (out_m[y] | in_m[y])
-    return _witness(out_m, in_m, x, y, cands & ~(1 << x | 1 << y))
+    record = _witness(out_m, in_m, x, y, cands & ~(1 << x | 1 << y))
+    return None if record is None else _as_witness(out_m, in_m, x, y, record)
 
 
 def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResult:
@@ -201,17 +228,22 @@ def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResul
             "the Cartesian skeleton and thin strong PFD require a thin graph; "
             "take the quotient first"
         )
-    out_m, in_m = g.out_mask, g.in_mask
-    removed = []
-    kept = []
+    out_m, in_m, arc_set = g.out_mask, g.in_mask, g.arc_set
+    records = []
     for arc in g.arcs:
         x, y = arc
         cands = (1 << g.n) - 1 if exhaustive else (out_m[x] | in_m[x]) & (out_m[y] | in_m[y])
         cands &= ~(1 << x | 1 << y)
-        witness = _witness(out_m, in_m, x, y, cands) if cands else None
-        if witness is None:
-            kept.append(arc)
-        else:
-            removed.append((arc, witness))
+        if not cands or x > y and (y, x) in arc_set:  # judged with yx, which came first
+            continue
+        record = _witness(out_m, in_m, x, y, cands)
+        if record:
+            records.append((arc, record))
+            if (y, x) in arc_set:
+                rule, z, z1, z2 = record
+                records.append(((y, x), (rule, z, z2, z1) if rule == "D5" else record))
     # Digraph is immutable, so an unchanged skeleton is g itself.
-    return SkeletonResult(Digraph(g.n, kept) if removed else g, tuple(removed))
+    return SkeletonResult(
+        Digraph(g.n, arc_set.difference(arc for arc, _ in records)) if records else g,
+        lambda: tuple((arc, _as_witness(out_m, in_m, *arc, r)) for arc, r in sorted(records)),
+    )

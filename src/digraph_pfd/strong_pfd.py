@@ -135,9 +135,9 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
 def _thin(g: Digraph) -> Factorization:
     """strong_pfd_thin on a non-empty graph, without the final certificate."""
     sk = cartesian_skeleton(g)
-    if not sk.removed:
+    if sk.skeleton is g and not sk.removed:
         return _prime(g)
-    sk = sk.skeleton  # free the ledger before the Cartesian stage runs
+    sk = sk.skeleton  # free the kernel's records, unread, before the Cartesian stage
     cf = cartesian_pfd(sk)
     coords = cf.coords
     sizes = [f.n for f in cf.factors]

@@ -1,3 +1,6 @@
+import importlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +16,8 @@ from digraph_pfd import (
     quotient,
     random_prime_digraph,
     random_thin_digraph,
+    strong_pfd,
+    strong_pfd_thin,
     strong_product,
     weak_n_condition,
 )
@@ -23,9 +28,14 @@ from digraph_pfd.errors import (
     VertexOutOfRangeError,
 )
 from digraph_pfd.oracle import SplitMix64
+from digraph_pfd.skeleton import _strict_conditions
 
 from helpers import c3, k2, p2, reference_dispensability
 from strategies import graph_with_permutation, thin_connected_digraphs
+
+
+# The package binds the name cartesian_skeleton to the function, so fetch the module.
+skeleton_mod = importlib.import_module("digraph_pfd.skeleton")
 
 
 def diag_graph():
@@ -120,6 +130,20 @@ PINNED_WITNESSES = [
 ]
 
 
+def mirrored_d5():
+    """A thin strong product with four D5-removed arcs, each the reverse of
+    another; the witness pair of yx is that of xy swapped."""
+    p = Digraph(3, [(0, 1), (1, 0), (1, 2)])
+    q = Digraph(3, [(0, 2), (1, 2), (2, 0)])
+    return strong_product([p, q]).graph
+
+
+PINNED_WITNESSES += [
+    (9, list(mirrored_d5().arcs), (2, 3), DispensabilityWitness("D5", z1=0, z2=5)),
+    (9, list(mirrored_d5().arcs), (3, 2), DispensabilityWitness("D5", z1=5, z2=0)),
+]
+
+
 @pytest.mark.parametrize("n, arcs, arc, witness", PINNED_WITNESSES)
 def test_pinned_witness_per_rule(n, arcs, arc, witness):
     g = Digraph(n, arcs)
@@ -144,11 +168,21 @@ def _relabelled_prime_products(count, seed):
 
 
 def _thin_small():
-    return [g for n in range(2, 5) for g in enumerate_connected_digraphs(n) if is_thin(g)]
+    return [g for n in range(1, 5) for g in enumerate_connected_digraphs(n) if is_thin(g)]
 
 
 def _thin_random():
     return [random_thin_digraph((3, 9), s) for s in range(300)]
+
+
+def _relabellings(g, count, seed):
+    rng = SplitMix64(seed)
+    graphs = []
+    for _ in range(count):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabel(perm))
+    return graphs
 
 
 def test_dispensability_matches_reference_ledger():
@@ -158,6 +192,7 @@ def test_dispensability_matches_reference_ledger():
         "random thin": _thin_random(),
         "product quotients": [quotient(g).quotient for g in products],
         "products": products,
+        "mirrored D5": _relabellings(mirrored_d5(), 201, 16),
     }
     rules = set()
     for name, graphs in corpora.items():
@@ -175,6 +210,64 @@ def test_dispensability_matches_reference_ledger():
                     got = cartesian_skeleton(g, exhaustive=exhaustive).removed
                     assert got == tuple(ledger), f"{name}: ledger of {g!r}"
     assert rules == {None, "D1", "D2", "D3", "D4", "D5"}
+
+
+def test_pipeline_builds_no_witness(monkeypatch):
+    # strong_pfd reads only the skeleton; the ledger waits for a reader.
+    built = []
+    real = skeleton_mod.DispensabilityWitness
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(skeleton_mod, "DispensabilityWitness", counting)
+    thin = strong_product([c3(), p2()]).graph
+    non_thin = strong_product([k2(), c3(), p2()]).graph
+    assert is_thin(thin) and not is_thin(non_thin)
+    for f in (strong_pfd_thin(thin), strong_pfd(thin), strong_pfd(non_thin)):
+        assert len(f.factors) > 1
+    assert built == []
+    for g in (thin, quotient(non_thin).quotient):
+        want = [((x, y), reference_dispensability(g, x, y)) for x, y in g.arcs]
+        assert cartesian_skeleton(g).removed == tuple((a, w) for a, w in want if w)
+    assert built
+
+
+def test_one_strict_condition_per_sign():
+    # The ledger's tokens rest on this: the nesting of N[x] and N[y] names
+    # the only strict condition that can hold for a sign.
+    for g in _thin_small():
+        for x, y in g.arcs:
+            for masks in (g.out_mask, g.in_mask):
+                mx, my = masks[x], masks[y]
+                nesting = (
+                    () if mx == my else (1,) if mx & my == mx else (2,) if mx & my == my else (3,)
+                )
+                for z in range(g.n):
+                    assert _strict_conditions(masks, x, y, z) in ((), nesting)
+
+
+def test_skeleton_and_rules_follow_every_labelling():
+    for g in _thin_small():
+        result = cartesian_skeleton(g)
+        rules = {arc: w.rule for arc, w in result.removed}
+        for perm in itertools.permutations(range(g.n)):
+            moved = cartesian_skeleton(g.relabel(perm))
+            assert moved.skeleton == result.skeleton.relabel(perm), (g, perm)
+            moved_rules = {arc: w.rule for arc, w in moved.removed}
+            assert moved_rules == {(perm[x], perm[y]): r for (x, y), r in rules.items()}
+
+
+def _converse(g):
+    return Digraph(g.n, [(y, x) for x, y in g.arcs])
+
+
+def test_skeleton_of_converse_is_converse_of_skeleton():
+    for g in _thin_small() + _thin_random():
+        assert cartesian_skeleton(_converse(g)).skeleton == _converse(
+            cartesian_skeleton(g).skeleton
+        ), g
 
 
 def test_endpoints_never_witness():
