@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Round-trip experiment: build seeded strong products of certified primes,
-relabel them, factor them back, and report recovery statistics."""
+relabel them, factor them back, and report recovery statistics.  Exits 1
+when any instance factors to other primes than it was built from."""
 
 import argparse
+import sys
 import time
 
 from digraph_pfd import (
@@ -55,6 +57,8 @@ def main() -> None:
         f" (largest instance {largest} vertices,"
         f" total factoring time {total_time:.2f}s)"
     )
+    if recovered != args.instances:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -44,13 +44,17 @@ def is_strong_product(g: Digraph, f: Factorization) -> bool:
     With the coordinates a bijection onto the grid, N+[v] is the product of
     the factor neighbourhoods N+_j[c_j(v)] exactly when every out-neighbour
     w of v has c_j(w) in N+_j[c_j(v)] for every j and |N+[v]| is the
-    product of their sizes.
+    product of their sizes.  A complete factor's N+_j[x] holds every grid
+    coordinate, so it only scales the sizes.
     """
     _vertex_index(f)
     if g.n != len(f.coords):
         return False
     size = [1] * g.n
     for h, column in zip(f.factors, zip(*f.coords)):
+        if len(h.arcs) == h.n * (h.n - 1):
+            size = [s * h.n for s in size]
+            continue
         closed = [frozenset((x,) + h.out_adj[x]) for x in range(h.n)]
         for v, x in enumerate(column):
             if not closed[x].issuperset(map(column.__getitem__, g.out_adj[v])):

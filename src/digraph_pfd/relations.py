@@ -8,6 +8,7 @@ all downstream output, are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -91,21 +92,10 @@ def blowup(q: Digraph, mult: Sequence[int]) -> Digraph:
         raise ZeroMultiplicityError("multiplicities must all be >= 1")
     if not is_thin(q):
         raise NonThinQuotientError("blow-up base graph must be thin")
-    offsets = [0] * q.n
-    total = 0
-    for a in range(q.n):
-        offsets[a] = total
-        total += mult[a]
-    arcs = []
-    for a in range(q.n):
-        block = range(offsets[a], offsets[a] + mult[a])
-        arcs.extend((i, j) for i in block for j in block if i != j)
-    for a, b in q.arcs:
-        arcs.extend(
-            (i, j)
-            for i in range(offsets[a], offsets[a] + mult[a])
-            for j in range(offsets[b], offsets[b] + mult[b])
-        )
+    *offsets, total = itertools.accumulate(mult, initial=0)
+    blocks = [range(s, s + m) for s, m in zip(offsets, mult)]
+    arcs = [(i, j) for block in blocks for i in block for j in block if i != j]
+    arcs += [(i, j) for a, b in q.arcs for i in blocks[a] for j in blocks[b]]
     return Digraph(total, arcs)
 
 

@@ -21,24 +21,29 @@ together with the weak (non-strict) variant of cond 3.  The rules are:
 
 The skeleton is the spanning subgraph left after deleting every dispensable
 arc.  Each arc is judged against the original graph only, so the removed set
-is independent of processing order.  Candidates z, z1, z2 range over
-C - {x, y}, C = (N+[x] | N-[x]) & (N+[y] | N-[y]), or over every vertex but
-x and y in the exhaustive mode that keeps this pruning testable.  Neither x
-nor y can witness: with z = x or z = y each strict condition compares a
-neighborhood with itself, and D5 excludes both.
+is independent of processing order.  Every witness z, z1, z2 of xy is a
+transitive middle x -> z -> y, so the candidates are N+(x) & N-(y):
+  - each rule asks its witnesses for N[x] & N[y] <= N[z] in both signs, the
+    weak condition, which a strict condition and D3-D5's equalities imply;
+  - y lies in N+[x] & N+[y] and x in N-[x] & N-[y], so y in N+[z], x in N-[z].
+Neither x nor y can witness: with z = x or z = y each strict condition
+compares a neighborhood with itself, and D5 excludes both.  The exhaustive
+mode, which keeps this pruning testable, takes every vertex but x and y.
 
 The removal ledger reports, for each removed arc, the first rule that fires
 in the order D1 to D5 and, within that rule, the least candidate.  D2's z1
 and z2 are each the least on their own; D5's pair is the first (z1, z2) in
 lexicographic order.  One pass over the candidates in ascending order finds
-all of them, and stops at the first D1 witness.  Conditions are tested
-inline against per-arc constants of each sign: cond 1 or 2 asks N[z] to lie
-strictly between N[x] & N[y] and N[x] | N[y] when one of N[x], N[y] holds the
-other, cond 3 to contain N[x] & N[y] and meet N[x] - N[y] and N[y] - N[x]
-when neither does.  So one strict condition at most holds per sign, and the
-nesting of N[x] and N[y] names it in the ledger's token.  Every rule reads the
-same with x and y swapped, so the skeleton gives yx the witness of xy, D5's
-(z1, z2) swapped, and builds its ledger on first read (see README step 2).
+all of them: it skips a candidate that fails a weak condition, and stops at
+the first D1 witness.  Conditions are tested inline against per-arc
+constants of each sign: cond 1 or 2 asks N[z] to lie strictly between
+N[x] & N[y] and N[x] | N[y] when one of N[x], N[y] holds the other, cond 3
+to meet N[x] - N[y] and N[y] - N[x] when neither does.  So one strict
+condition at most holds per sign, and the nesting of N[x] and N[y] names it
+in the ledger's token.  Every rule reads the same with x and y swapped, and
+the candidates of xy and of yx each hold every witness, so the skeleton
+gives yx the witness of xy, D5's (z1, z2) swapped, and builds its ledger on
+first read (see README step 2).
 """
 
 from __future__ import annotations
@@ -166,21 +171,23 @@ def _witness(
         cands ^= low
         z = low.bit_length() - 1
         zo, zi = out_m[z], in_m[z]
-        plus = zo & o_and == o_and and (
+        if zo & o_and != o_and or zi & i_and != i_and:
+            continue  # fails a weak condition, so witnesses no rule
+        plus = (
             zo & ox_only and zo & oy_only if o_cross else zo | o_or == o_or and o_and != zo != o_or
         )
-        minus = zi & i_and == i_and and (
+        minus = (
             zi & ix_only and zi & iy_only if i_cross else zi | i_or == i_or and i_and != zi != i_or
         )
         if plus and minus:
             return ("D1", z, None, None)
         if plus:
-            if d2_z1 is None and o_cross and zi & i_and == i_and:
+            if d2_z1 is None and o_cross:
                 d2_z1 = z
             if d3 is None and (zi == ix or zi == iy):
                 d3 = z
         elif minus:
-            if d2_z2 is None and i_cross and zo & o_and == o_and:
+            if d2_z2 is None and i_cross:
                 d2_z2 = z
             if d4 is None and (zo == ox or zo == oy):
                 d4 = z
@@ -203,10 +210,12 @@ def dispensability(
     g: Digraph, x: int, y: int, *, exhaustive: bool = False
 ) -> DispensabilityWitness | None:
     """Witness for arc xy under the first rule that fires, chosen as the
-    module docstring states, or None when the arc survives."""
+    module docstring states, or None when the arc survives.  Candidates are
+    the transitive middles x -> z -> y, which hold every witness: a witness
+    has N[x] & N[y] <= N[z] in both signs; y is in the + meet, x in the -."""
     _require_arc(g, x, y)
     out_m, in_m = g.out_mask, g.in_mask
-    cands = (1 << g.n) - 1 if exhaustive else (out_m[x] | in_m[x]) & (out_m[y] | in_m[y])
+    cands = (1 << g.n) - 1 if exhaustive else out_m[x] & in_m[y]
     record = _witness(out_m, in_m, x, y, cands & ~(1 << x | 1 << y))
     return None if record is None else _as_witness(out_m, in_m, x, y, record)
 
@@ -232,8 +241,7 @@ def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResul
     records = []
     for arc in g.arcs:
         x, y = arc
-        cands = (1 << g.n) - 1 if exhaustive else (out_m[x] | in_m[x]) & (out_m[y] | in_m[y])
-        cands &= ~(1 << x | 1 << y)
+        cands = ((1 << g.n) - 1 if exhaustive else out_m[x] & in_m[y]) & ~(1 << x | 1 << y)
         if not cands or x > y and (y, x) in arc_set:  # judged with yx, which came first
             continue
         record = _witness(out_m, in_m, x, y, cands)

@@ -166,15 +166,12 @@ def gcd_multiplicity(
 
 
 def _prime_factors(value: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= value:
+    out, d = [], 2
+    while value > 1:
         while value % d == 0:
             out.append(d)
             value //= d
         d += 1
-    if value > 1:
-        out.append(value)
     return out
 
 

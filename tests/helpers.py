@@ -95,6 +95,11 @@ def oriented_products(count, seed):
     return graphs
 
 
+def converse(g: Digraph) -> Digraph:
+    """g with every arc reversed."""
+    return Digraph(g.n, [(y, x) for x, y in g.arcs])
+
+
 def factor_forms(factors):
     """Multiset (sorted tuple) of canonical forms, for up-to-iso comparison."""
     return sorted(canonical_form(f) for f in factors)

@@ -148,24 +148,42 @@ def _mutants(g: Digraph, f: Factorization, rng: random.Random):
     yield g, Factorization(f.factors, f.coords[:u] + (f.coords[w],) + f.coords[u + 1 :])
 
 
+def _verdicts(seed, rng, product, factors):
+    """Both certificates' verdicts on a relabelled product and each of its
+    mutants, each checked against rebuilding the product."""
+    cg = product(factors)
+    perm = list(range(cg.graph.n))
+    rng.shuffle(perm)
+    coords = [()] * len(perm)
+    for v, c in enumerate(cg.coords):
+        coords[perm[v]] = c
+    f = Factorization(cg.factors, tuple(coords))
+    verdicts = []
+    for g, f in _mutants(cg.graph.relabel(perm), f, rng):
+        for _, certify, reconstruct in KINDS:
+            verdict = _holds(lambda: certify(g, f))
+            assert verdict == _holds(lambda: reconstruct(f) == g), (seed, g, f)
+            verdicts.append(verdict)
+    return verdicts
+
+
 def test_certificate_agrees_with_reconstruction():
     verdicts = []
     for seed in range(320):
         rng = random.Random(seed)
-        product = KINDS[seed % 2][0]
         factors = [random_connected_digraph((2, 4), 10 * seed + j) for j in range(1 + seed % 3)]
-        cg = product(factors)
-        perm = list(range(cg.graph.n))
-        rng.shuffle(perm)
-        coords = [()] * len(perm)
-        for v, c in enumerate(cg.coords):
-            coords[perm[v]] = c
-        f = Factorization(cg.factors, tuple(coords))
-        for g, f in _mutants(cg.graph.relabel(perm), f, rng):
-            for _, certify, reconstruct in KINDS:
-                verdict = _holds(lambda: certify(g, f))
-                assert verdict == _holds(lambda: reconstruct(f) == g), (seed, g, f)
-                verdicts.append(verdict)
+        verdicts += _verdicts(seed, rng, KINDS[seed % 2][0], factors)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_certificate_agrees_with_reconstruction_on_complete_factors():
+    # The strong certificate takes a complete factor on its size alone.
+    verdicts = []
+    for seed in range(240):
+        rng = random.Random(seed)
+        factors = [random_connected_digraph((2, 4), 10 * seed + j) for j in range(seed % 3)]
+        factors.insert(rng.randrange(len(factors) + 1), complete_digraph(2 + seed // 2 % 2))
+        verdicts += _verdicts(seed, rng, KINDS[seed % 2][0], factors)
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 

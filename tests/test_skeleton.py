@@ -30,7 +30,7 @@ from digraph_pfd.errors import (
 from digraph_pfd.oracle import SplitMix64
 from digraph_pfd.skeleton import _strict_conditions
 
-from helpers import c3, k2, p2, reference_dispensability
+from helpers import c3, converse, k2, p2, reference_dispensability
 from strategies import graph_with_permutation, thin_connected_digraphs
 
 
@@ -259,15 +259,54 @@ def test_skeleton_and_rules_follow_every_labelling():
             assert moved_rules == {(perm[x], perm[y]): r for (x, y), r in rules.items()}
 
 
-def _converse(g):
-    return Digraph(g.n, [(y, x) for x, y in g.arcs])
-
-
 def test_skeleton_of_converse_is_converse_of_skeleton():
     for g in _thin_small() + _thin_random():
-        assert cartesian_skeleton(_converse(g)).skeleton == _converse(
+        assert cartesian_skeleton(converse(g)).skeleton == converse(
             cartesian_skeleton(g).skeleton
         ), g
+
+
+def _roles(g, x, y, z):
+    """The roles of rules D1-D5 that z fills for arc xy, found from the
+    condition queries and the masks alone."""
+    out_m, in_m = g.out_mask, g.in_mask
+    plus, minus = n_condition(g, x, y, z, "+"), n_condition(g, x, y, z, "-")
+    roles = {
+        "D1 z": plus is not None and minus is not None,
+        "D2 z1": plus == 3 and weak_n_condition(g, x, y, z, "-"),
+        "D2 z2": minus == 3 and weak_n_condition(g, x, y, z, "+"),
+        "D3 z": plus is not None and in_m[z] in (in_m[x], in_m[y]),
+        "D4 z": minus is not None and out_m[z] in (out_m[x], out_m[y]),
+        "D5 z1": out_m[z] == out_m[x] and in_m[z] == in_m[y],
+        "D5 z2": in_m[z] == in_m[x] and out_m[z] == out_m[y],
+    }
+    return {role for role, fills in roles.items() if fills}
+
+
+def test_every_witness_is_a_transitive_middle():
+    # The kernel's candidates rest on this: y lies in N+[x] & N+[y] and x in
+    # N-[x] & N-[y], so a witness z, which holds both weak conditions, has
+    # the arcs xz and zy.
+    corpora = {
+        "thin n <= 4, every labelling": [
+            g.relabel(perm) for g in _thin_small() for perm in itertools.permutations(range(g.n))
+        ],
+        "random thin": _thin_random(),
+        "mirrored D5": [mirrored_d5()],
+        "products": _relabelled_prime_products(100, 12),
+    }
+    filled = set()
+    for name, graphs in corpora.items():
+        for g in graphs:
+            for x, y in g.arcs:
+                for z in set(range(g.n)) - {x, y}:
+                    roles = _roles(g, x, y, z)
+                    if roles:
+                        filled |= roles
+                        assert (x, z) in g.arc_set and (z, y) in g.arc_set, (name, g, x, y, z)
+                        assert weak_n_condition(g, x, y, z, "+"), (name, g, x, y, z)
+                        assert weak_n_condition(g, x, y, z, "-"), (name, g, x, y, z)
+    assert len(filled) == 7
 
 
 def test_endpoints_never_witness():
