@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cartesian_pfd import cartesian_pfd
 from .digraph import Digraph, complete_digraph
-from .errors import NotConnectedError, ReconstructionError
+from .errors import IndexOutOfRangeError, NotConnectedError, ReconstructionError
 from .factorization import Factorization, is_strong_product
 from .factorization import reconstruct_strong  # noqa: F401  pfdbench/tracing.py hooks this name
 from .products import _strides, strong_product
@@ -55,28 +55,14 @@ def verify_strong_grouping(
     B the complement layer; the pair is returned iff g equals A boxtimes B
     arc-for-arc under the projection pair, else None.
 
-    The full check is is_strong_product on the two layers.  Vertex 0 is
-    tested first, before any O(n) work, with A_0 (B_0) taken as the
-    projections of the members of N+[0] that keep vertex 0's complement (J)
-    coordinates; for a bijective coordinate map onto a grid, which
-    cartesian_pfd returns, these are exactly its neighbourhoods in the two
-    layers, so most rejected subsets cost O(d k).
+    J is read as a set of coordinate indices.  The one check is the full
+    certificate, is_strong_product on the two layers.
     """
     k = len(coords[0])
-    j_idx = tuple(sorted(J))
+    j_idx = tuple(sorted(set(J)))
     if not j_idx or any(j < 0 or j >= k for j in j_idx):
         return None
     c_idx = tuple(j for j in range(k) if j not in j_idx)
-
-    closed0 = [
-        (_project(coords[w], j_idx), _project(coords[w], c_idx)) for w in (0,) + g.out_adj[0]
-    ]
-    base_j, base_c = closed0[0]
-    a0 = {pj for pj, pc in closed0 if pc == base_c}
-    b0 = {pc for pj, pc in closed0 if pj == base_j}
-    if len(closed0) != len(a0) * len(b0) or not all(pj in a0 and pc in b0 for pj, pc in closed0):
-        return None
-
     sizes = [max(c[j] for c in coords) + 1 for j in range(k)]
     a, rank_a = _layer(g, coords, sizes, j_idx)
     b, rank_b = _layer(g, coords, sizes, c_idx)
@@ -156,10 +142,14 @@ def _thin(g: Digraph) -> Factorization:
 def gcd_multiplicity(
     table: Mapping[tuple[int, ...], int], J: Iterable[int]
 ) -> dict[tuple[int, ...], int]:
-    """Project a class-size table onto the J coordinates by gcd."""
-    j_idx = tuple(sorted(J))
+    """Project a class-size table onto the J coordinates by gcd; J is read
+    as a set of indices into the table's keys."""
+    j_idx = tuple(sorted(set(J)))
+    k = len(next(iter(table), ()))
+    if table and j_idx and not 0 <= j_idx[0] <= j_idx[-1] < k:
+        raise IndexOutOfRangeError(f"coordinate index outside 0..{k - 1}")
     out: dict[tuple[int, ...], int] = {}
-    for key in sorted(table):
+    for key in table:
         proj = tuple(key[j] for j in j_idx)
         out[proj] = math.gcd(out.get(proj, 0), table[key])
     return out
@@ -195,10 +185,7 @@ def strong_pfd(g: Digraph) -> Factorization:
     h = quotient(g).quotient
     primes = _prime_factors(l)
 
-    group_mults: list[dict[tuple[int, ...], int]] = []
     group_sets: list[tuple[int, ...]] = []
-    group_factors: list[Digraph] = []
-    group_offsets: list[dict[tuple[int, ...], int]] = []
     coords_h: Coords = ((),) * h.n
     if h.n > 1:
         thin_f = _thin(h)
@@ -216,35 +203,30 @@ def strong_pfd(g: Digraph) -> Factorization:
             )
 
         group_sets = _greedy_groups(range(len(thin_f.factors)), splits)
-        group_mults = [gcd_multiplicity(table, J) for J in group_sets]
-        for J, d_j in zip(group_sets, group_mults):
-            prod_j = strong_product([thin_f.factors[j] for j in J])
-            block_mult = [d_j[c] for c in prod_j.coords]
-            group_factors.append(blowup(prod_j.graph, block_mult))
-            starts = itertools.accumulate(block_mult, initial=0)
-            group_offsets.append(dict(zip(prod_j.coords, starts)))
-
-    factors = tuple(group_factors) + tuple(complete_digraph(p) for p in primes)
-    if len(factors) == 1:
+    if len(group_sets) + len(primes) == 1:
         return _certified(g, _prime(g))
 
-    rank_in_class = {}
-    for members in part.classes:
-        for r, v in enumerate(members):
-            rank_in_class[v] = r
-    fcoords = []
-    for v in range(g.n):
-        x = coords_h[part.class_of[v]]
-        r = rank_in_class[v]
-        coord = []
-        for J, d_j, offsets in zip(group_sets, group_mults, group_offsets):
-            proj = _project(x, J)
-            m = d_j[proj]
-            coord.append(offsets[proj] + r % m)
-            r //= m
-        for p in primes:
-            coord.append(r % p)
-            r //= p
-        fcoords.append(tuple(coord))
+    # One lift entry (J, d_J, offsets) per factor.  A vertex of the class at x
+    # takes the next mixed-radix digit of its rank in the class, base d_J[x_J],
+    # plus offsets[x_J]; K_p is one block of p over no coordinates.
+    factors, lift = [], []
+    for J in group_sets:
+        d_j = gcd_multiplicity(table, J)
+        prod_j = strong_product([thin_f.factors[j] for j in J])
+        block_mult = [d_j[c] for c in prod_j.coords]
+        factors.append(blowup(prod_j.graph, block_mult))
+        lift.append((J, d_j, dict(zip(prod_j.coords, itertools.accumulate(block_mult, initial=0)))))
+    factors += [complete_digraph(p) for p in primes]
+    lift += [((), {(): p}, {(): 0}) for p in primes]
 
-    return _certified(g, Factorization(factors, tuple(fcoords)))
+    fcoords: list[tuple[int, ...]] = [()] * g.n
+    for members, x in zip(part.classes, coords_h):
+        radix = [(d_j[_project(x, J)], offsets[_project(x, J)]) for J, d_j, offsets in lift]
+        for r, v in enumerate(members):
+            coord = []
+            for m, start in radix:
+                r, digit = divmod(r, m)
+                coord.append(start + digit)
+            fcoords[v] = tuple(coord)
+
+    return _certified(g, Factorization(tuple(factors), tuple(fcoords)))

@@ -109,10 +109,22 @@ def test_transitive_triangle_is_one_group():
     assert _is_itself(g, strong_pfd(g))
 
 
-def test_non_thin_prime_returns_the_input():
+def test_non_thin_prime_returns_the_input(monkeypatch):
+    # One group over the quotient and no K_p: the exit comes before any
+    # group is multiplied out or blown up.
     g = blowup(strong_product([p2(), p2()]).graph, [1, 2, 2, 2])
     assert not is_thin(g)
+    calls = {"blowup": 0, "strong_product": 0}
+    for name in calls:
+        original = getattr(strong_pfd_mod, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(strong_pfd_mod, name, counted)
     assert _is_itself(g, strong_pfd(g))
+    assert calls == {"blowup": 0, "strong_product": 0}
 
 
 def test_cli_factor_prints_a_prime_as_itself(tmp_path, capsys):

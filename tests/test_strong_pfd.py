@@ -21,7 +21,7 @@ from digraph_pfd import (
     strong_product,
     verify_strong_grouping,
 )
-from digraph_pfd.errors import NotConnectedError, NotThinError
+from digraph_pfd.errors import IndexOutOfRangeError, NotConnectedError, NotThinError
 
 from helpers import bidirected_cube, c3, c4_bidirected, factor_forms, k1, k2, p2, two_k2
 from strategies import graph_with_permutation, thin_connected_digraphs
@@ -47,6 +47,13 @@ def test_grouping_accepts_full_index_set_trivially():
     a, b = found
     assert a == c3()
     assert b.n == 1
+
+
+def test_grouping_reads_J_as_a_set():
+    g = strong_product([p2(), p2()]).graph
+    coords = _skeleton_coords(g)
+    found = verify_strong_grouping(g, coords, [0])
+    assert found is not None and verify_strong_grouping(g, coords, [0, 0]) == found
 
 
 def test_grouping_rejects_empty_set():
@@ -158,6 +165,13 @@ def test_gcd_multiplicity_examples():
     assert gcd_multiplicity(table, [1]) == {(0,): 1, (1,): 3}
     ones = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
     assert gcd_multiplicity(ones, [0]) == {(0,): 1, (1,): 1}
+    assert gcd_multiplicity(table, [1, 0, 1]) == gcd_multiplicity(table, [0, 1]) == table
+
+
+@pytest.mark.parametrize("J", [[1], [-1], [0, 2]])
+def test_gcd_multiplicity_rejects_an_index_outside_the_keys(J):
+    with pytest.raises(IndexOutOfRangeError):
+        gcd_multiplicity({(0,): 2, (1,): 4}, J)
 
 
 def test_strong_pfd_p2_k2():
