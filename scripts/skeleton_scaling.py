@@ -17,11 +17,17 @@ The third table times strong_pfd the same way on bidirected hypercubes Q_k.
 They are triangle-free, so strong-prime, and their skeletons delete no arc,
 so strong_pfd returns each one as its own factor right after the skeleton.
 
+Every timed call is also checked: the skeleton of an arc power is the power
+itself, cartesian_pfd returns a path as its own one factor and Q_k as k
+single arcs, and strong_pfd returns a bidirected Q_k as its own one factor.
+A mismatch is reported on stderr and the script exits with status 1.
+
     PYTHONPATH=src python scripts/skeleton_scaling.py --min-k 6 --max-k 12
 """
 
 import argparse
 import random
+import sys
 import time
 import tracemalloc
 
@@ -36,16 +42,23 @@ from digraph_pfd import (
 PFD_PATHS = (5000, 20000)
 PFD_CUBES = range(9, 13)
 STRONG_CUBES = range(9, 12)
+ARC = Digraph(2, [(0, 1)])
 
 
-def measure(k: int, repeats: int) -> tuple[int, int, float]:
-    g = cartesian_product([Digraph(2, [(0, 1)])] * k).graph
+def arc_power(k: int) -> Digraph:
+    return cartesian_product([ARC] * k).graph
+
+
+def measure(k: int, repeats: int) -> tuple[int, int, float, bool]:
+    """Size, arc count, best skeleton time of the k-th arc power, and
+    whether its skeleton is the power itself."""
+    g = arc_power(k)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        cartesian_skeleton(g)
+        same = cartesian_skeleton(g).skeleton is g
         best = min(best, time.perf_counter() - start)
-    return g.n, g.arc_count, best
+    return g.n, g.arc_count, best, same
 
 
 def relabelled_path(n: int) -> Digraph:
@@ -59,10 +72,11 @@ def bidirected_cube(k: int) -> Digraph:
     return Digraph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(k)])
 
 
-def time_and_peak(fn, g: Digraph) -> tuple[float, float]:
-    """Wall time in seconds and tracemalloc peak in MB of fn(g)."""
+def time_and_peak(fn, g: Digraph):
+    """The result of fn(g), its wall time in seconds and the tracemalloc
+    peak in MB of a second call."""
     start = time.perf_counter()
-    fn(g)
+    result = fn(g)
     seconds = time.perf_counter() - start
     tracemalloc.start()
     try:
@@ -70,7 +84,7 @@ def time_and_peak(fn, g: Digraph) -> tuple[float, float]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return seconds, peak / 2**20
+    return result, seconds, peak / 2**20
 
 
 def main() -> None:
@@ -81,11 +95,14 @@ def main() -> None:
     parser.add_argument("--max-k", type=int, default=12)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
+    mismatches = []
 
     print(f"{'k':>3} {'|V|':>6} {'|E|':>8} {'time':>10} {'t-ratio':>8} {'E-ratio':>8}")
     prev = None
     for k in range(args.min_k, args.max_k + 1):
-        n, m, t = measure(k, args.repeats)
+        n, m, t, same = measure(k, args.repeats)
+        if not same:
+            mismatches.append(f"cartesian_skeleton of the arc power k={k} is not the power")
         if prev is None:
             print(f"{k:>3} {n:>6} {m:>8} {t * 1e3:>8.1f}ms {'':>8} {'':>8}")
         else:
@@ -95,15 +112,24 @@ def main() -> None:
             )
         prev = (m, t)
 
-    rows = [(f"P{n}", relabelled_path(n)) for n in PFD_PATHS]
-    rows += [(f"Q{k}", cartesian_product([Digraph(2, [(0, 1)])] * k).graph) for k in PFD_CUBES]
-    strong_rows = [(f"Q{k}", bidirected_cube(k)) for k in STRONG_CUBES]
+    # (label, input, the factors the call must return)
+    paths = [relabelled_path(n) for n in PFD_PATHS]
+    rows = [(f"P{g.n}", g, (g,)) for g in paths]
+    rows += [(f"Q{k}", arc_power(k), (ARC,) * k) for k in PFD_CUBES]
+    cubes = [bidirected_cube(k) for k in STRONG_CUBES]
+    strong_rows = [(f"Q{k}", g, (g,)) for k, g in zip(STRONG_CUBES, cubes)]
     for fn, table in ((cartesian_pfd, rows), (strong_pfd, strong_rows)):
         print()
         print(f"{fn.__name__:<13} {'|V|':>6} {'|E|':>8} {'time':>10} {'peak':>10}")
-        for label, g in table:
-            t, peak = time_and_peak(fn, g)
+        for label, g, factors in table:
+            f, t, peak = time_and_peak(fn, g)
             print(f"{label:<13} {g.n:>6} {g.arc_count:>8} {t * 1e3:>8.1f}ms {peak:>8.1f}MB")
+            if f.factors != factors:
+                mismatches.append(f"{fn.__name__} of {label}: {len(f.factors)} unexpected factors")
+    for line in mismatches:
+        print(f"error: {line}", file=sys.stderr)
+    if mismatches:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ two edges at a corner of every misoriented chordless square, where an edge
 and its opposite edge carry different arcs: the two copies of a factor that
 such a square joins differ as digraphs, so its edges lie in one factor.  Each
 square is read once, at its least corner, and there are no merge rounds.  One
-breadth-first placement then checks the colouring edge by edge, and its
-colour classes are the prime factors.
+breadth-first search places the vertices, the layers through vertex 0 are
+read off as the factors, and is_cartesian_product certifies the placement:
+it is the only check, also of a caller's colouring in direction_conflicts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Mapping
 
 from .digraph import Digraph, UndirectedGraph
 from .errors import InvalidColoringError, NotConnectedError, ReconstructionError
+from .errors import VertexOutOfRangeError
 from .factorization import Factorization, is_cartesian_product
 from .factorization import reconstruct_cartesian  # noqa: F401  pfdbench/tracing.py hooks this name
 
@@ -99,23 +101,20 @@ def _closure_coloring(ug: UndirectedGraph, arcs: frozenset[Edge]) -> EdgeColorin
 
 
 def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
-    """Product coordinates induced by a coloring, or None when invalid.
+    """Product coordinates that a coloring of every edge of ug proposes.
 
-    Returns (positions, coords, gid, factor_edges): positions[i] lists the
-    vertices of the factor-i layer through vertex 0, coords[v][i] is the rank
-    in positions[i] of the projection of v onto that layer, gid[v] is the
-    mixed-radix grid id of coords[v] (last factor fastest), and
-    factor_edges[i] holds the factor-i edges as rank pairs.
+    Returns (positions, coords): positions[i] lists the vertices of the
+    colour-i layer through vertex 0, and coords[v][i] is the rank in
+    positions[i] of the projection of v onto that layer.  Raises
+    InvalidColoringError when the vertices cannot be placed.
 
     One breadth-first search from 0 places every vertex v: it copies the
     coordinates of an earlier-level neighbour across an i-edge, then takes
     coordinate i from an earlier-level neighbour across an edge of another
     color, or else from its rank in positions[i].  In a product every
     non-zero coordinate j of v gives v an earlier-level j-neighbour, so these
-    are the product coordinates.  The result certifies itself: a bijection
-    onto the grid, every i-edge changing coordinate i alone along a factor-i
-    edge, and |E| = sum_i |E_i| * n / |V_i| make the edges exactly those of
-    the product of the factors.
+    are the product coordinates.  Nothing here checks them: each caller
+    certifies the placement with is_cartesian_product.
     """
     n = ug.n
     count = coloring.count
@@ -131,12 +130,10 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
             _union(parent, u, v)
         positions.append([v for v in range(n) if _find(parent, v) == 0])
     if prod(map(len, positions)) != n:
-        return None
+        raise InvalidColoringError("coloring is not a product coloring")
     ranks = [{p: r for r, p in enumerate(layer)} for layer in positions]
-    stride = [prod(map(len, positions[i + 1 :])) for i in range(count)]
 
     coords: list[list[int]] = [[0] * count] * n  # each v > 0 gets its own copy
-    gid = [0] * n
     adj = ug.adj
     level = [-1] * n
     level[0] = 0
@@ -149,36 +146,28 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
                 level[w] = below + 2
                 order.append(w)
             elif lw == below:
-                i = colors.get((v, w) if v < w else (w, v))
-                if i is None:
-                    return None
+                i = colors[(v, w) if v < w else (w, v)]
                 if j is None:
                     u, j, r = w, i, ranks[i].get(v)
                 elif i != j:
                     r = coords[w][j]
         if j is not None:
             if r is None:
-                return None
+                raise InvalidColoringError("coloring is not a product coloring")
             coords[v] = c = coords[u][:]
             c[j] = r
-            gid[v] = gid[u] + (r - coords[u][j]) * stride[j]
-    if len(order) != n or len(set(gid)) != n:
-        return None
+    return positions, coords
 
-    factor_edges: list[list[Edge]] = []
-    copies = 0
-    for i, edges in enumerate(by_color):
-        rank, step = ranks[i], stride[i]
-        inside = {(rank[u], rank[v]) for u, v in edges if u in rank}
-        for u, v in edges:
-            s, t = coords[u][i], coords[v][i]
-            if gid[u] - gid[v] != (s - t) * step or ((s, t) if s < t else (t, s)) not in inside:
-                return None
-        factor_edges.append(sorted(inside))
-        copies += len(inside) * (n // len(positions[i]))
-    if copies != len(ug.edges):
-        return None
-    return positions, coords, gid, factor_edges
+
+def _layers(g: Digraph, positions: list[list[int]], coords) -> Factorization:
+    """The factorization a placement proposes for g: factor i is the
+    subgraph of g induced on positions[i], each vertex labelled by its rank."""
+    factors = []
+    for layer in positions:
+        rank = {v: r for r, v in enumerate(layer)}
+        arcs = [(r, rank[w]) for r, v in enumerate(layer) for w in g.out_adj[v] if w in rank]
+        factors.append(Digraph(len(layer), arcs))
+    return Factorization(tuple(factors), tuple(map(tuple, coords)))
 
 
 def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
@@ -192,23 +181,33 @@ def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
 
 
 def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
+    """The placement (positions, coords) of a product coloring of ug.
+
+    Raises InvalidColoringError unless the coloring covers the edges of ug,
+    is_cartesian_product certifies its placement on the symmetric shadow,
+    and every i-edge moves coordinate i.  Under the certificate an edge
+    moves one coordinate alone, so with the colour rule the edges inside
+    positions[i] are the i-edges and the induced layers are the colour-i
+    layers: the colour classes are the factors of ug."""
     if coloring.colors.keys() != ug.edge_set:
         raise InvalidColoringError("coloring does not cover the underlying edges")
-    placed = _coordinatize(ug, coloring)
-    if placed is None:
-        raise InvalidColoringError("coloring is not a product coloring")
-    return placed
+    positions, coords = _coordinatize(ug, coloring)
+    shadow = Digraph(ug.n, [*ug.edges, *((v, u) for u, v in ug.edges)])
+    try:
+        certified = is_cartesian_product(shadow, _layers(shadow, positions, coords))
+    except VertexOutOfRangeError:  # the coordinates are not a bijection onto the grid
+        certified = False
+    if certified and all(coords[u][i] != coords[v][i] for (u, v), i in coloring.colors.items()):
+        return positions, coords
+    raise InvalidColoringError("coloring is not a product coloring")
 
 
-def _conflicts(g: Digraph, ug: UndirectedGraph, coloring: EdgeColoring, placed):
+def _conflicts(g: Digraph, ug: UndirectedGraph, coloring: EdgeColoring, coords):
     """Sorted color pairs (i, j) such that some square of i- and j-edges has
-    its two i-edges oriented differently.  Every square is read once, at
-    its least corner v, where its fourth corner has grid id
-    gid[a] + gid[b] - gid[v] for the neighbours a and b of v on it."""
-    _, _, gid, _ = placed
-    vid = [0] * ug.n
-    for v, x in enumerate(gid):
-        vid[x] = v
+    its two i-edges oriented differently.  Every square is read once, at its
+    least corner v, whose i-neighbour a and j-neighbour b on it place the
+    fourth corner at coordinate j of b and every other coordinate of a."""
+    at = {tuple(c): v for v, c in enumerate(coords)}
     arcs = g.arc_set
     colors = coloring.colors
     conflicts = set()
@@ -218,7 +217,7 @@ def _conflicts(g: Digraph, ug: UndirectedGraph, coloring: EdgeColoring, placed):
             for b, j in up[k + 1 :]:
                 if i == j:
                     continue
-                c = vid[gid[a] + gid[b] - gid[v]]
+                c = at[(*coords[a][:j], coords[b][j], *coords[a][j + 1 :])]
                 if c < v:
                     continue
                 if ((v, a) in arcs) != ((b, c) in arcs) or ((a, v) in arcs) != ((c, b) in arcs):
@@ -232,7 +231,7 @@ def direction_conflicts(g: Digraph, coloring: EdgeColoring) -> list[tuple[int, i
     """Color pairs (i, j) such that two copies of factor i adjacent along a
     j-edge differ as digraphs under the coordinate bijection."""
     ug = g.underlying_undirected()
-    return _conflicts(g, ug, coloring, _check_coloring(ug, coloring))
+    return _conflicts(g, ug, coloring, _check_coloring(ug, coloring)[1])
 
 
 def cartesian_pfd(g: Digraph) -> Factorization:
@@ -246,17 +245,7 @@ def cartesian_pfd(g: Digraph) -> Factorization:
     ug = g.underlying_undirected()
     if not ug.is_connected():
         raise NotConnectedError("Cartesian PFD requires a connected graph")
-    arcs = g.arc_set
-    positions, coords, _, factor_edges = _check_coloring(ug, _closure_coloring(ug, arcs))
-
-    # The factor-i layer through vertex 0 holds positions[i] itself, so a
-    # factor arc is read straight off the arcs between those vertices.
-    factors = []
-    for layer, edges in zip(positions, factor_edges):
-        fa = [(s, t) for s, t in edges if (layer[s], layer[t]) in arcs]
-        fa += [(t, s) for s, t in edges if (layer[t], layer[s]) in arcs]
-        factors.append(Digraph(len(layer), fa))
-    result = Factorization(tuple(factors), tuple(map(tuple, coords)))
+    result = _layers(g, *_coordinatize(ug, _closure_coloring(ug, g.arc_set)))
     if not is_cartesian_product(g, result):
         raise ReconstructionError("result is not the Cartesian product of its factors")
     return result

@@ -29,10 +29,14 @@ class CoordGraph:
     coords: tuple[tuple[int, ...], ...]
 
     def vertex_at(self, coord: Sequence[int]) -> int:
-        """Row-major vertex id of a coordinate tuple."""
+        """Row-major vertex id of a coordinate tuple with one entry inside
+        every factor; raises VertexOutOfRangeError for any other tuple."""
+        sizes = [factor.n for factor in self.factors]
+        if len(coord) != len(sizes) or not all(0 <= c < s for c, s in zip(coord, sizes)):
+            raise VertexOutOfRangeError(f"coordinate {tuple(coord)} lies off the grid {sizes}")
         vid = 0
-        for factor, c in zip(self.factors, coord):
-            vid = vid * factor.n + c
+        for c, s in zip(coord, sizes):
+            vid = vid * s + c
         return vid
 
 

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .cartesian_pfd import cartesian_pfd
 from .digraph import Digraph, complete_digraph
 from .errors import IndexOutOfRangeError, NotConnectedError, ReconstructionError
+from .errors import VertexOutOfRangeError
 from .factorization import Factorization, is_strong_product
 from .factorization import reconstruct_strong  # noqa: F401  pfdbench/tracing.py hooks this name
 from .products import _strides, strong_product
@@ -56,9 +57,13 @@ def verify_strong_grouping(
     arc-for-arc under the projection pair, else None.
 
     J is read as a set of coordinate indices.  The one check is the full
-    certificate, is_strong_product on the two layers.
+    certificate, is_strong_product on the two layers.  Raises
+    VertexOutOfRangeError unless coords holds one tuple of one common length
+    per vertex; the empty graph carries no factor.
     """
-    k = len(coords[0])
+    if len(coords) != g.n or len(set(map(len, coords))) > 1:
+        raise VertexOutOfRangeError("coords must hold one tuple of one length per vertex")
+    k = len(coords[0]) if coords else 0
     j_idx = tuple(sorted(set(J)))
     if not j_idx or any(j < 0 or j >= k for j in j_idx):
         return None

@@ -266,7 +266,7 @@ def reference_coordinatize(ug, coloring):
     return positions, coord_tuples, factor_edges
 
 
-def _reference_placement(g, coloring):
+def reference_placement(g, coloring):
     ug = g.underlying_undirected()
     if set(coloring.colors) != set(ug.edges):
         raise InvalidColoringError("coloring does not cover the underlying edges")
@@ -279,7 +279,7 @@ def _reference_placement(g, coloring):
 def reference_direction_conflicts(g, coloring):
     """Conflicting color pairs by the O(m * |E_i|) loop: every j-edge
     against every factor-i edge."""
-    positions, coords, factor_edges = _reference_placement(g, coloring)
+    positions, coords, factor_edges = reference_placement(g, coloring)
     index = {c: v for v, c in enumerate(coords)}
     conflicts = set()
     for (u, w), j in coloring.colors.items():
@@ -317,7 +317,7 @@ def reference_cartesian_pfd(g):
     while reference_coordinatize(ug, coloring) is None:
         coloring = merge_colors(coloring, [(0, 1)])
     coloring = merge_conflicts(g, coloring)
-    positions, coords, factor_edges = _reference_placement(g, coloring)
+    positions, coords, factor_edges = reference_placement(g, coloring)
 
     factors = []
     base = coords[0]

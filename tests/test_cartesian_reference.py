@@ -1,7 +1,8 @@
-"""cartesian_pfd's per-edge coordinate check and local-square conflict test
-agree with the reference loops in helpers.py: the same None/placement
-verdicts, the same direction_conflicts lists, and the same factors and
-coordinates."""
+"""The colouring check of direction_conflicts (the shadow certificate plus
+the colour rule) and its local-square conflict test agree with the reference
+loops in helpers.py: the same placements and rejections, the same
+direction_conflicts lists, and the same factors and coordinates from
+cartesian_pfd."""
 
 import pytest
 
@@ -15,7 +16,7 @@ from digraph_pfd import (
     random_connected_digraph,
     undirected_cartesian_pfd,
 )
-from digraph_pfd.cartesian_pfd import _coordinatize
+from digraph_pfd.cartesian_pfd import _check_coloring
 from digraph_pfd.errors import InvalidColoringError
 from digraph_pfd.oracle import SplitMix64
 
@@ -28,6 +29,7 @@ from helpers import (
     reference_cartesian_pfd,
     reference_coordinatize,
     reference_direction_conflicts,
+    reference_placement,
 )
 
 
@@ -54,8 +56,8 @@ def relabelled_products(count, seed):
 def perturbed_products(count, seed):
     """(g, coloring) pairs: a product of two factors on 2-4 vertices, colored
     by the coordinate each edge moves along, after one edge was deleted, or
-    one edge added inside a layer, or both.  Without the count identity or
-    without the factor-edge test some of these pass as product colorings."""
+    one edge added inside a layer, or both.  Without the shadow certificate
+    some of these pass as product colorings."""
 
     def moved(u, v):
         return [i for i, (a, b) in enumerate(zip(coords[u], coords[v])) if a != b]
@@ -102,33 +104,27 @@ def random_colorings(g, rng, count):
         yield EdgeColoring({e: rng.below(k) for e in edges}, k)
 
 
-def as_vertex_ids(placed):
-    """A placement of _coordinatize in the reference's vertex-id form."""
-    if placed is None:
-        return None
-    positions, coords, _, factor_edges = placed
-    vertex_coords = tuple(
-        tuple(positions[i][r] for i, r in enumerate(c)) for c in coords
-    )
-    vertex_edges = [
-        sorted((layer[s], layer[t]) for s, t in edges)
-        for layer, edges in zip(positions, factor_edges)
-    ]
-    return positions, vertex_coords, vertex_edges
-
-
-def outcome(conflicts, g, coloring):
+def outcome(check, g, coloring):
     try:
-        return conflicts(g, coloring)
+        return check(g, coloring)
     except InvalidColoringError as exc:
         return ("invalid", str(exc))
 
 
+def placement(g, coloring):
+    """The placement that _check_coloring accepts, with the coordinates as
+    vertex ids of the layers through vertex 0, as the reference gives them."""
+    positions, coords = _check_coloring(g.underlying_undirected(), coloring)
+    return positions, tuple(tuple(positions[i][r] for i, r in enumerate(c)) for c in coords)
+
+
+def reference(g, coloring):
+    positions, coords, _ = reference_placement(g, coloring)
+    return positions, coords
+
+
 def assert_same_checks(g, coloring):
-    ug = g.underlying_undirected()
-    assert as_vertex_ids(_coordinatize(ug, coloring)) == reference_coordinatize(
-        ug, coloring
-    )
+    assert outcome(placement, g, coloring) == outcome(reference, g, coloring)
     assert outcome(direction_conflicts, g, coloring) == outcome(
         reference_direction_conflicts, g, coloring
     )
@@ -175,7 +171,7 @@ def test_random_colorings_match_reference(corpus):
     for g in graphs:
         for coloring in random_colorings(g, rng, 5):
             assert_same_checks(g, coloring)
-            verdicts.add(_coordinatize(g.underlying_undirected(), coloring) is None)
+            verdicts.add(outcome(placement, g, coloring)[0] == "invalid")
     assert verdicts == {True, False}
 
 

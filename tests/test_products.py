@@ -16,6 +16,7 @@ from digraph_pfd.errors import (
     ArcNotPresentError,
     EmptyFactorListError,
     IndexOutOfRangeError,
+    VertexOutOfRangeError,
 )
 
 from helpers import c3, k1, k2, p2
@@ -163,3 +164,10 @@ def test_row_major_vertex_ids():
     assert cg.coords == tuple(itertools.product(range(2), range(3)))
     for v, coord in enumerate(cg.coords):
         assert cg.vertex_at(coord) == v
+
+
+@pytest.mark.parametrize("coord", [(0, 5), (1,), (-1, 0), (0, 2), (0, 0, 0), ()])
+def test_vertex_at_rejects_coordinates_off_the_grid(coord):
+    cg = strong_product([p2(), p2()])
+    with pytest.raises(VertexOutOfRangeError):
+        cg.vertex_at(coord)

@@ -21,7 +21,12 @@ from digraph_pfd import (
     strong_product,
     verify_strong_grouping,
 )
-from digraph_pfd.errors import IndexOutOfRangeError, NotConnectedError, NotThinError
+from digraph_pfd.errors import (
+    IndexOutOfRangeError,
+    NotConnectedError,
+    NotThinError,
+    VertexOutOfRangeError,
+)
 
 from helpers import bidirected_cube, c3, c4_bidirected, factor_forms, k1, k2, p2, two_k2
 from strategies import graph_with_permutation, thin_connected_digraphs
@@ -58,6 +63,25 @@ def test_grouping_reads_J_as_a_set():
 
 def test_grouping_rejects_empty_set():
     assert verify_strong_grouping(c3(), _skeleton_coords(c3()), set()) is None
+
+
+def test_grouping_of_the_empty_graph_is_none():
+    assert verify_strong_grouping(Digraph(0), (), [0]) is None
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        ((0, 0), (0, 1), (1,), (1, 1)),  # ragged
+        ((0, 0), (0, 1), (1, 0)),  # one vertex short
+        ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),  # one vertex over
+        (),
+    ],
+)
+def test_grouping_rejects_malformed_coords(coords):
+    g = strong_product([p2(), p2()]).graph
+    with pytest.raises(VertexOutOfRangeError):
+        verify_strong_grouping(g, coords, [0])
 
 
 def test_grouping_rejects_on_prime_with_decomposable_skeleton():
