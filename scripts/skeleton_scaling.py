@@ -13,14 +13,20 @@ relabelled vertices and on directed hypercubes Q_k (Cartesian powers of the
 single arc).  Each row gives the wall time of one call and the tracemalloc
 peak of a second call, counting only that call's allocations.
 
-The third table times strong_pfd the same way on bidirected hypercubes Q_k.
-They are triangle-free, so strong-prime, and their skeletons delete no arc,
-so strong_pfd returns each one as its own factor right after the skeleton.
+The third table times strong_pfd the same way on bidirected hypercubes Q_k
+and on relabelled strong products of a directed path on 2000 vertices with
+K3 or with the directed path P3.  The cubes are triangle-free, so
+strong-prime, and their skeletons delete no arc, so strong_pfd returns each
+one as its own factor right after the skeleton.  The product with K3 is
+non-thin: strong_pfd factors its quotient, the path, and lifts the
+coordinates back through the neighbourhood classes.
 
 Every timed call is also checked: the skeleton of an arc power is the power
 itself, cartesian_pfd returns a path as its own one factor and Q_k as k
-single arcs, and strong_pfd returns a bidirected Q_k as its own one factor.
-A mismatch is reported on stderr and the script exits with status 1.
+single arcs, strong_pfd returns a bidirected Q_k as its own one factor, and
+the factors of the path products are a directed path on 2000 vertices and
+K3 (or P3).  A mismatch is reported on stderr and the script exits with
+status 1.
 
     PYTHONPATH=src python scripts/skeleton_scaling.py --min-k 6 --max-k 12
 """
@@ -36,13 +42,17 @@ from digraph_pfd import (
     cartesian_pfd,
     cartesian_product,
     cartesian_skeleton,
+    complete_digraph,
     strong_pfd,
+    strong_product,
 )
 
 PFD_PATHS = (5000, 20000)
 PFD_CUBES = range(9, 13)
 STRONG_CUBES = range(9, 12)
+STRONG_PATH = 2000
 ARC = Digraph(2, [(0, 1)])
+K3 = complete_digraph(3)
 
 
 def arc_power(k: int) -> Digraph:
@@ -65,6 +75,20 @@ def relabelled_path(n: int) -> Digraph:
     perm = list(range(n))
     random.Random(n).shuffle(perm)
     return Digraph(n, [(perm[v], perm[v + 1]) for v in range(n - 1)])
+
+
+def is_directed_path(g: Digraph, n: int) -> bool:
+    """A connected digraph on n vertices with n - 1 arcs and no in- or
+    out-degree above 1 is the directed path P_n."""
+    degrees = [*map(len, g.out_adj), *map(len, g.in_adj)]
+    return g.n == n and g.arc_count == n - 1 and g.is_connected() and max(degrees) <= 1
+
+
+def relabelled_path_product(small: Digraph) -> Digraph:
+    g = strong_product([relabelled_path(STRONG_PATH), small]).graph
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    return g.relabel(perm)
 
 
 def bidirected_cube(k: int) -> Digraph:
@@ -112,19 +136,33 @@ def main() -> None:
             )
         prev = (m, t)
 
-    # (label, input, the factors the call must return)
+    # (label, input, whether the call returned the right factors)
     paths = [relabelled_path(n) for n in PFD_PATHS]
-    rows = [(f"P{g.n}", g, (g,)) for g in paths]
-    rows += [(f"Q{k}", arc_power(k), (ARC,) * k) for k in PFD_CUBES]
+    rows = [(f"P{g.n}", g, lambda fs, g=g: fs == (g,)) for g in paths]
+    rows += [(f"Q{k}", arc_power(k), lambda fs, k=k: fs == (ARC,) * k) for k in PFD_CUBES]
     cubes = [bidirected_cube(k) for k in STRONG_CUBES]
-    strong_rows = [(f"Q{k}", g, (g,)) for k, g in zip(STRONG_CUBES, cubes)]
+    strong_rows = [(f"Q{k}", g, lambda fs, g=g: fs == (g,)) for k, g in zip(STRONG_CUBES, cubes)]
+    p3 = Digraph(3, [(0, 1), (1, 2)])
+    strong_rows += [
+        (
+            f"P{STRONG_PATH}xK3",
+            relabelled_path_product(K3),
+            lambda fs: len(fs) == 2 and fs[1] == K3 and is_directed_path(fs[0], STRONG_PATH),
+        ),
+        (
+            f"P{STRONG_PATH}xP3",
+            relabelled_path_product(p3),
+            lambda fs: sorted(f.n for f in fs) == [3, STRONG_PATH]
+            and all(is_directed_path(f, f.n) for f in fs),
+        ),
+    ]
     for fn, table in ((cartesian_pfd, rows), (strong_pfd, strong_rows)):
         print()
         print(f"{fn.__name__:<13} {'|V|':>6} {'|E|':>8} {'time':>10} {'peak':>10}")
-        for label, g, factors in table:
+        for label, g, ok in table:
             f, t, peak = time_and_peak(fn, g)
             print(f"{label:<13} {g.n:>6} {g.arc_count:>8} {t * 1e3:>8.1f}ms {peak:>8.1f}MB")
-            if f.factors != factors:
+            if not ok(f.factors):
                 mismatches.append(f"{fn.__name__} of {label}: {len(f.factors)} unexpected factors")
     for line in mismatches:
         print(f"error: {line}", file=sys.stderr)

@@ -24,6 +24,7 @@ from .errors import InvalidColoringError, NotConnectedError, ReconstructionError
 from .errors import VertexOutOfRangeError
 from .factorization import Factorization, is_cartesian_product
 from .factorization import reconstruct_cartesian  # noqa: F401  pfdbench/tracing.py hooks this name
+from .products import _layers
 
 Edge = tuple[int, int]
 
@@ -156,18 +157,7 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
                 raise InvalidColoringError("coloring is not a product coloring")
             coords[v] = c = coords[u][:]
             c[j] = r
-    return positions, coords
-
-
-def _layers(g: Digraph, positions: list[list[int]], coords) -> Factorization:
-    """The factorization a placement proposes for g: factor i is the
-    subgraph of g induced on positions[i], each vertex labelled by its rank."""
-    factors = []
-    for layer in positions:
-        rank = {v: r for r, v in enumerate(layer)}
-        arcs = [(r, rank[w]) for r, v in enumerate(layer) for w in g.out_adj[v] if w in rank]
-        factors.append(Digraph(len(layer), arcs))
-    return Factorization(tuple(factors), tuple(map(tuple, coords)))
+    return positions, tuple(map(tuple, coords))
 
 
 def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
@@ -183,18 +173,21 @@ def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
 def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
     """The placement (positions, coords) of a product coloring of ug.
 
-    Raises InvalidColoringError unless the coloring covers the edges of ug,
-    is_cartesian_product certifies its placement on the symmetric shadow,
-    and every i-edge moves coordinate i.  Under the certificate an edge
-    moves one coordinate alone, so with the colour rule the edges inside
-    positions[i] are the i-edges and the induced layers are the colour-i
-    layers: the colour classes are the factors of ug."""
+    Raises InvalidColoringError unless ug has a vertex, the coloring covers
+    its edges with colours in 0..count-1, is_cartesian_product certifies its
+    placement on the symmetric shadow, and every i-edge moves coordinate i.
+    Under the certificate an edge moves one coordinate alone, so with the
+    colour rule the edges of the layers along i are the i-edges: the colour
+    classes are the factors of ug."""
     if coloring.colors.keys() != ug.edge_set:
         raise InvalidColoringError("coloring does not cover the underlying edges")
+    if not ug.n or not all(0 <= i < coloring.count for i in coloring.colors.values()):
+        raise InvalidColoringError("coloring is not a product coloring")
     positions, coords = _coordinatize(ug, coloring)
     shadow = Digraph(ug.n, [*ug.edges, *((v, u) for u, v in ug.edges)])
     try:
-        certified = is_cartesian_product(shadow, _layers(shadow, positions, coords))
+        layers = _layers(shadow, coords, list(map(len, positions)), 0)
+        certified = is_cartesian_product(shadow, Factorization(tuple(layers), coords))
     except VertexOutOfRangeError:  # the coordinates are not a bijection onto the grid
         certified = False
     if certified and all(coords[u][i] != coords[v][i] for (u, v), i in coloring.colors.items()):
@@ -245,7 +238,8 @@ def cartesian_pfd(g: Digraph) -> Factorization:
     ug = g.underlying_undirected()
     if not ug.is_connected():
         raise NotConnectedError("Cartesian PFD requires a connected graph")
-    result = _layers(g, *_coordinatize(ug, _closure_coloring(ug, g.arc_set)))
+    positions, coords = _coordinatize(ug, _closure_coloring(ug, g.arc_set))
+    result = Factorization(tuple(_layers(g, coords, list(map(len, positions)), 0)), coords)
     if not is_cartesian_product(g, result):
         raise ReconstructionError("result is not the Cartesian product of its factors")
     return result

@@ -88,23 +88,30 @@ def cartesian_product(factors: Sequence[Digraph]) -> CoordGraph:
     return CoordGraph(Digraph(len(coords), arcs), factors, coords)
 
 
+def _layers(
+    g: Digraph, coords: Sequence[tuple[int, ...]], sizes: Sequence[int], v: int
+) -> list[Digraph]:
+    """Factor i is the subgraph of g induced on the layer through v along
+    coordinate i, each vertex labelled by its coordinate i.  Raises
+    VertexOutOfRangeError when a grid point of those layers holds no vertex."""
+    at = {c: u for u, c in enumerate(coords)}
+    base, factors = coords[v], []
+    for i, size in enumerate(sizes):
+        label = {at.get((*base[:i], x, *base[i + 1 :])): x for x in range(size)}
+        if None in label:
+            raise VertexOutOfRangeError(f"a point of the layer {i} through {v} holds no vertex")
+        arcs = [(x, label[w]) for u, x in label.items() for w in g.out_adj[u] if w in label]
+        factors.append(Digraph(size, arcs))
+    return factors
+
+
 def layer(cg: CoordGraph, j: int, x: int) -> Digraph:
     """The copy of factor j through vertex x, relabeled by coordinate j."""
     if not 0 <= j < len(cg.factors):
         raise IndexOutOfRangeError(f"factor index {j} outside 0..{len(cg.factors) - 1}")
     if not 0 <= x < cg.graph.n:
         raise VertexOutOfRangeError(f"vertex {x} outside 0..{cg.graph.n - 1}")
-    base = cg.coords[x]
-    stride = _strides([f.n for f in cg.factors])[j]
-    origin = cg.vertex_at(base) - base[j] * stride
-    members = [origin + v * stride for v in range(cg.factors[j].n)]
-    arcs = [
-        (u, w)
-        for u in range(len(members))
-        for w in range(len(members))
-        if u != w and cg.graph.has_arc(members[u], members[w])
-    ]
-    return Digraph(cg.factors[j].n, arcs)
+    return _layers(cg.graph, cg.coords, [f.n for f in cg.factors], x)[j]
 
 
 def classify_edge(cg: CoordGraph, arc: Arc) -> int | None:

@@ -17,13 +17,15 @@ import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cartesian_pfd import cartesian_pfd
-from .digraph import Digraph, complete_digraph
+from .digraph import Digraph
 from .errors import IndexOutOfRangeError, NotConnectedError, ReconstructionError
 from .errors import VertexOutOfRangeError
 from .factorization import Factorization, is_strong_product
 from .factorization import reconstruct_strong  # noqa: F401  pfdbench/tracing.py hooks this name
-from .products import _strides, strong_product
-from .relations import blowup, quotient, s_partition
+from .products import _grid, _layers, _strides
+from .products import strong_product  # noqa: F401  pfdbench/tracing.py hooks this name
+from .relations import blowup  # noqa: F401  pfdbench/tracing.py hooks this name
+from .relations import quotient, s_partition
 from .skeleton import cartesian_skeleton
 
 Coords = Sequence[tuple[int, ...]]
@@ -33,33 +35,25 @@ def _project(x: Sequence[int], idx: Iterable[int]) -> tuple[int, ...]:
     return tuple(x[i] for i in idx)
 
 
-def _layer(
-    g: Digraph, coords: Coords, sizes: Sequence[int], idx: Sequence[int]
-) -> tuple[Digraph, list[int]]:
-    """Induced layer through vertex 0 over the idx coordinates, labelled by
-    the row-major rank of the idx projection, and that rank for every vertex."""
-    others = [j for j in range(len(sizes)) if j not in idx]
-    strides = _strides([sizes[j] for j in idx])
-    rank = [sum(c[j] * s for j, s in zip(idx, strides)) for c in coords]
-    base = _project(coords[0], others)
-    members = {v for v, c in enumerate(coords) if _project(c, others) == base}
-    arcs = [(rank[u], rank[w]) for u in members for w in g.out_adj[u] if w in members]
-    return Digraph(math.prod(sizes[j] for j in idx), arcs), rank
+def _grouped(g: Digraph, coords: Coords, sizes: Sequence[int], groups) -> Factorization:
+    """g over groups of coordinates: coordinate J of a vertex is the row-major
+    rank of its projection onto J; the factors are the layers through vertex 0."""
+    strides = [(J, _strides([sizes[j] for j in J])) for J in groups]
+    ranks = tuple(tuple(sum(c[j] * s for j, s in zip(J, st)) for J, st in strides) for c in coords)
+    group_sizes = [math.prod(sizes[j] for j in J) for J in groups]
+    return Factorization(tuple(_layers(g, ranks, group_sizes, 0)), ranks)
 
 
 def verify_strong_grouping(
     g: Digraph, coords: Coords, J: Iterable[int]
 ) -> tuple[Digraph, Digraph] | None:
-    """Test whether the coordinate subset J carries a strong factor of g.
+    """The layers (A, B) of g through vertex 0 over the coordinate set J and
+    over the other coordinates, if is_strong_product certifies g = A boxtimes
+    B under the row-major ranks of the two projections, else None.
 
-    Candidate A is the induced layer through vertex 0 over the J coordinates,
-    B the complement layer; the pair is returned iff g equals A boxtimes B
-    arc-for-arc under the projection pair, else None.
-
-    J is read as a set of coordinate indices.  The one check is the full
-    certificate, is_strong_product on the two layers.  Raises
-    VertexOutOfRangeError unless coords holds one tuple of one common length
-    per vertex; the empty graph carries no factor.
+    Raises VertexOutOfRangeError unless coords holds one tuple of one common
+    length per vertex and those ranks are a bijection onto the grid of A and
+    B; the empty graph carries no factor.
     """
     if len(coords) != g.n or len(set(map(len, coords))) > 1:
         raise VertexOutOfRangeError("coords must hold one tuple of one length per vertex")
@@ -69,11 +63,8 @@ def verify_strong_grouping(
         return None
     c_idx = tuple(j for j in range(k) if j not in j_idx)
     sizes = [max(c[j] for c in coords) + 1 for j in range(k)]
-    a, rank_a = _layer(g, coords, sizes, j_idx)
-    b, rank_b = _layer(g, coords, sizes, c_idx)
-    if not is_strong_product(g, Factorization((a, b), tuple(zip(rank_a, rank_b)))):
-        return None
-    return a, b
+    f = _grouped(g, coords, sizes, (j_idx, c_idx))
+    return f.factors if is_strong_product(g, f) else None
 
 
 def _greedy_groups(
@@ -131,7 +122,6 @@ def _thin(g: Digraph) -> Factorization:
     sk = sk.skeleton  # free the kernel's records, unread, before the Cartesian stage
     cf = cartesian_pfd(sk)
     coords = cf.coords
-    sizes = [f.n for f in cf.factors]
 
     groups = _greedy_groups(
         range(len(cf.factors)),
@@ -140,8 +130,7 @@ def _thin(g: Digraph) -> Factorization:
     if len(groups) == 1:
         return _prime(g)
 
-    factors, ranks = zip(*(_layer(g, coords, sizes, J) for J in groups))
-    return Factorization(factors, tuple(zip(*ranks)))
+    return _grouped(g, coords, [f.n for f in cf.factors], groups)
 
 
 def gcd_multiplicity(
@@ -211,27 +200,26 @@ def strong_pfd(g: Digraph) -> Factorization:
     if len(group_sets) + len(primes) == 1:
         return _certified(g, _prime(g))
 
-    # One lift entry (J, d_J, offsets) per factor.  A vertex of the class at x
-    # takes the next mixed-radix digit of its rank in the class, base d_J[x_J],
-    # plus offsets[x_J]; K_p is one block of p over no coordinates.
-    factors, lift = [], []
+    # Factor J holds a block of d_J[y] vertices per point y of the grid of J,
+    # in row-major order; K_p is one block of p over no coordinates.  For each
+    # factor, a vertex of the class at x takes the next mixed-radix digit of its
+    # rank in the class, base |block at x_J|, plus that block's start.
+    blocks = []
     for J in group_sets:
         d_j = gcd_multiplicity(table, J)
-        prod_j = strong_product([thin_f.factors[j] for j in J])
-        block_mult = [d_j[c] for c in prod_j.coords]
-        factors.append(blowup(prod_j.graph, block_mult))
-        lift.append((J, d_j, dict(zip(prod_j.coords, itertools.accumulate(block_mult, initial=0)))))
-    factors += [complete_digraph(p) for p in primes]
-    lift += [((), {(): p}, {(): 0}) for p in primes]
+        grid = _grid([thin_f.factors[j].n for j in J])
+        starts = itertools.accumulate((d_j[y] for y in grid), initial=0)
+        blocks.append((J, {y: (d_j[y], start) for y, start in zip(grid, starts)}))
+    blocks += [((), {(): (p, 0)}) for p in primes]
 
     fcoords: list[tuple[int, ...]] = [()] * g.n
     for members, x in zip(part.classes, coords_h):
-        radix = [(d_j[_project(x, J)], offsets[_project(x, J)]) for J, d_j, offsets in lift]
+        radix = [block[_project(x, J)] for J, block in blocks]
         for r, v in enumerate(members):
             coord = []
             for m, start in radix:
                 r, digit = divmod(r, m)
                 coord.append(start + digit)
             fcoords[v] = tuple(coord)
-
-    return _certified(g, Factorization(tuple(factors), tuple(fcoords)))
+    sizes = [sum(m for m, _ in block.values()) for _, block in blocks]
+    return _certified(g, Factorization(tuple(_layers(g, fcoords, sizes, 0)), tuple(fcoords)))

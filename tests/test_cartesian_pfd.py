@@ -130,6 +130,22 @@ def test_disconnected_coloring_rejected():
         direction_conflicts(g, EdgeColoring({(0, 1): 0, (0, 2): 1}, 2))
 
 
+@pytest.mark.parametrize(
+    "colors, count",
+    [({(0, 1): 5}, 2), ({(0, 1): 0}, 0), ({(0, 1): -1}, 1), ({(0, 1): 1}, 1)],
+    ids=["above_count", "zero_count", "negative", "equal_to_count"],
+)
+def test_color_outside_the_count_rejected(colors, count):
+    with pytest.raises(InvalidColoringError, match="not a product coloring"):
+        direction_conflicts(p2(), EdgeColoring(colors, count))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_empty_graph_has_no_product_coloring(count):
+    with pytest.raises(InvalidColoringError, match="not a product coloring"):
+        direction_conflicts(Digraph(0), EdgeColoring({}, count))
+
+
 def test_k1_factors_to_itself():
     f = cartesian_pfd(k1())
     assert [x.n for x in f.factors] == [1]

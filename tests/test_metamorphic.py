@@ -53,3 +53,26 @@ def test_every_labelling_up_to_four_vertices():
                     assert cartesian_skeleton(h).skeleton == skeleton.relabel(perm), (g, perm)
                 labellings += 1
     assert labellings == 4859
+
+
+@pytest.mark.parametrize(
+    "product, factorize", [(strong_product, strong_pfd), (cartesian_product, cartesian_pfd)]
+)
+def test_factors_of_a_product_are_the_factors_of_both_sides(product, factorize):
+    # Prime factorization is unique for connected digraphs under either
+    # product, so the factors of G x H are those of G together with those of
+    # H.  The pairs reach the (4, 4) products, and a third of them have a
+    # non-thin side, whose strong factors come through the lift.
+    shapes, non_thin = set(), 0
+    for s in range(120):
+        rng = SplitMix64(5100 + s)
+        g, h = (random_connected_digraph((2, 4), rng.next64()) for _ in range(2))
+        gh = product([g, h]).graph
+        perm = list(range(gh.n))
+        rng.shuffle(perm)
+        want = factor_forms([*factorize(g).factors, *factorize(h).factors])
+        assert factor_forms(factorize(gh.relabel(perm)).factors) == want, (g, h)
+        shapes.add((g.n, h.n))
+        non_thin += not (is_thin(g) and is_thin(h))
+    assert (4, 4) in shapes
+    assert non_thin >= 30

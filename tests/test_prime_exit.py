@@ -13,7 +13,9 @@ from digraph_pfd import (
     blowup,
     brute_force_strong_pfd,
     cartesian_skeleton,
+    complete_digraph,
     enumerate_connected_digraphs,
+    is_strong_product,
     is_thin,
     parse_edge_list,
     random_thin_digraph,
@@ -24,10 +26,13 @@ from digraph_pfd import (
 )
 from digraph_pfd.cli import main
 
-from helpers import bidirected_cube, c3, c4_bidirected, p2
+from helpers import bidirected_cube, c3, c4_bidirected, factor_forms, k2, p2
 
 # The package binds the name strong_pfd to the function, so fetch the module.
 strong_pfd_mod = importlib.import_module("digraph_pfd.strong_pfd")
+products_mod = importlib.import_module("digraph_pfd.products")
+relations_mod = importlib.import_module("digraph_pfd.relations")
+digraph_mod = importlib.import_module("digraph_pfd.digraph")
 
 
 def _is_itself(g: Digraph, f) -> bool:
@@ -110,21 +115,37 @@ def test_transitive_triangle_is_one_group():
 
 
 def test_non_thin_prime_returns_the_input(monkeypatch):
-    # One group over the quotient and no K_p: the exit comes before any
-    # group is multiplied out or blown up.
-    g = blowup(strong_product([p2(), p2()]).graph, [1, 2, 2, 2])
-    assert not is_thin(g)
-    calls = {"blowup": 0, "strong_product": 0}
-    for name in calls:
-        original = getattr(strong_pfd_mod, name)
+    # One group over the quotient and no K_p: the exit comes before the lift.
+    # A composite non-thin input is lifted to coordinates alone and its
+    # factors are read off the input: no product, blow-up or complete graph
+    # is built on either path.
+    prime = blowup(strong_product([p2(), p2()]).graph, [1, 2, 2, 2])
+    a, b = blowup(p2(), [1, 2]), blowup(p2(), [1, 3])
+    composites = [
+        (strong_product([p2(), c3(), k2()]).graph, [p2(), c3(), k2()]),
+        (strong_product([a, b]).graph, [a, b]),
+        (strong_product([prime, c3()]).graph, [prime, c3()]),
+        (strong_product([a, complete_digraph(6)]).graph, [a, k2(), complete_digraph(3)]),
+    ]
+    assert not any(is_thin(g) for g in [prime] + [g for g, _ in composites])
+    calls = {"strong_product": 0, "blowup": 0, "complete_digraph": 0}
+    for module in (products_mod, relations_mod, digraph_mod, strong_pfd_mod):
+        for name in calls:
+            if not hasattr(module, name):
+                continue
+            original = getattr(module, name)
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(strong_pfd_mod, name, counted)
-    assert _is_itself(g, strong_pfd(g))
-    assert calls == {"blowup": 0, "strong_product": 0}
+            monkeypatch.setattr(module, name, counted)
+    assert _is_itself(prime, strong_pfd(prime))
+    for g, factors in composites:
+        f = strong_pfd(g)
+        assert factor_forms(f.factors) == factor_forms(factors)
+        assert is_strong_product(g, f)
+    assert calls == {"strong_product": 0, "blowup": 0, "complete_digraph": 0}
 
 
 def test_cli_factor_prints_a_prime_as_itself(tmp_path, capsys):

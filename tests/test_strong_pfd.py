@@ -75,6 +75,7 @@ def test_grouping_of_the_empty_graph_is_none():
         ((0, 0), (0, 1), (1,), (1, 1)),  # ragged
         ((0, 0), (0, 1), (1, 0)),  # one vertex short
         ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)),  # one vertex over
+        ((0, 0), (0, 0), (1, 0), (1, 1)),  # a repeated coordinate
         (),
     ],
 )
@@ -217,6 +218,20 @@ def test_strong_pfd_prime_blowup_with_composite_quotient():
     f = strong_pfd(g)
     assert len(f.factors) == 1
     assert len(strong_pfd(quotient(g).quotient).factors) == 2
+
+
+def test_lift_lays_blocks_in_row_major_order():
+    # A non-thin prime over the quotient factors P2 and C3, times K2: its
+    # factor is the blow-up of the product of the quotient's factors, one
+    # block per class in the row-major order of the products module.
+    prime = blowup(strong_product([p2(), c3()]).graph, [1, 2, 2, 2, 2, 2])
+    g = strong_product([prime, k2()]).graph
+    q = quotient(g)
+    thin = strong_pfd(q.quotient)
+    grid = strong_product(thin.factors).coords
+    block = dict(zip(thin.coords, q.mult))
+    lifted = blowup(strong_product(thin.factors).graph, [block[x] // 2 for x in grid])
+    assert strong_pfd(g).factors == (lifted, k2())
 
 
 def test_strong_pfd_complete_graphs():
