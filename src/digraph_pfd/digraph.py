@@ -30,7 +30,8 @@ def _closed_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def _reaches_all(n: int, *adjs: Sequence[Iterable[int]]) -> bool:
     """True iff a search from vertex 0 along the union of the adjacency
-    lists reaches all n vertices."""
+    lists reaches all n vertices; it stops as soon as the last one is
+    found, so a dense input is not scanned to its end."""
     if n <= 1:
         return True
     seen = bytearray(n)
@@ -44,8 +45,10 @@ def _reaches_all(n: int, *adjs: Sequence[Iterable[int]]) -> bool:
                 if not seen[w]:
                     seen[w] = 1
                     count += 1
+                    if count == n:
+                        return True
                     queue.append(w)
-    return count == n
+    return False
 
 
 class Digraph:

@@ -39,27 +39,43 @@ def _vertex_index(f: Factorization) -> dict[tuple[int, ...], int]:
 
 def is_strong_product(g: Digraph, f: Factorization) -> bool:
     """Certificate that g is the strong product of f's factors under f's
-    coordinates, in O(m k) without building the product.
+    coordinates, in O(n + sum over classes of deg k + n sum_j |N+_j|),
+    without building the product.
 
     With the coordinates a bijection onto the grid, N+[v] is the product of
     the factor neighbourhoods N+_j[c_j(v)] exactly when every out-neighbour
     w of v has c_j(w) in N+_j[c_j(v)] for every j and |N+[v]| is the
-    product of their sizes.  A complete factor's N+_j[x] holds every grid
-    coordinate, so it only scales the sizes.
+    product of their sizes.  The vertices of one class of `g.out_mask`
+    share N+[r], r the first of them, so its projection P_j is built once
+    and each member v is checked by P_j <= N+_j[c_j(v)]; a one-vertex class
+    is checked on its out-neighbours, with no set built.  A complete
+    factor's N+_j[x] holds every grid coordinate, so it only scales the
+    sizes.  The input as its own single factor, v at (v,), passes at once.
     """
+    if f.factors == (g,) and f.coords == tuple(zip(range(g.n))):
+        return True
     _vertex_index(f)
     if g.n != len(f.coords):
         return False
+    classes: dict[int, list[int]] = {}
+    for v, key in enumerate(g.out_mask):
+        classes.setdefault(key, []).append(v)
     size = [1] * g.n
     for h, column in zip(f.factors, zip(*f.coords)):
         if len(h.arcs) == h.n * (h.n - 1):
             size = [s * h.n for s in size]
             continue
         closed = [frozenset((x,) + h.out_adj[x]) for x in range(h.n)]
-        for v, x in enumerate(column):
-            if not closed[x].issuperset(map(column.__getitem__, g.out_adj[v])):
+        for members in classes.values():
+            r = members[0]
+            if len(members) == 1:
+                if not closed[column[r]].issuperset(map(column.__getitem__, g.out_adj[r])):
+                    return False
+                continue
+            p = {column[w] for w in (r, *g.out_adj[r])}
+            if not all(closed[column[v]] >= p for v in members):
                 return False
-            size[v] *= len(closed[x])
+        size = [s * len(closed[x]) for s, x in zip(size, column)]
     return all(len(out) + 1 == s for out, s in zip(g.out_adj, size))
 
 

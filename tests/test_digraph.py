@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -71,6 +72,46 @@ def test_is_connected():
     assert p2().is_connected()
     assert not Digraph(2, []).is_connected()
     assert c3().is_connected()
+
+
+def _union_find_connected(n, arcs) -> bool:
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in arcs:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(n)}) <= 1
+
+
+def _check_connectivity(g: Digraph) -> None:
+    expected = _union_find_connected(g.n, g.arcs)
+    assert g.is_connected() == expected, g
+    assert g.underlying_undirected().is_connected() == expected, g
+
+
+def test_is_connected_matches_union_find_up_to_four_vertices():
+    for n in range(5):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for bits in range(1 << len(pairs)):
+            _check_connectivity(Digraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_is_connected_finds_or_misses_the_last_vertex(seed):
+    # A dense core on 0..k that the search exhausts first, then vertex n-1
+    # either isolated or at the far end of a path of random orientations.
+    rng = random.Random(seed)
+    k, n = rng.randrange(1, 8), rng.randrange(10, 20)
+    core = [(u, v) for u in range(k + 1) for v in range(k + 1) if u != v and rng.random() < 0.7]
+    core += [(u, u + 1) for u in range(k)]
+    path = [(u, u + 1) if rng.random() < 0.5 else (u + 1, u) for u in range(k, n - 1)]
+    _check_connectivity(Digraph(n, core + path))
+    _check_connectivity(Digraph(n, core + path[:-1]))
+    _check_connectivity(Digraph(n, core + path[:-1] + [(n - 1, rng.randrange(n - 1))]))
 
 
 def test_underlying_undirected():

@@ -3,6 +3,7 @@
 product, and the empty graph has one contract for both products."""
 
 import importlib
+import itertools
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ import digraph_pfd
 from digraph_pfd import (
     Digraph,
     Factorization,
+    blowup,
     brute_force_strong_pfd,
     cartesian_pfd,
     cartesian_product,
@@ -32,7 +34,7 @@ from digraph_pfd import (
 from digraph_pfd.cli import main
 from digraph_pfd.errors import GraphError, ReconstructionError, VertexOutOfRangeError
 
-from helpers import c3, p2
+from helpers import c3, k2, p2
 
 # (module, product certificate it looks up, factorizer, input)
 CASES = [
@@ -185,6 +187,58 @@ def test_certificate_agrees_with_reconstruction_on_complete_factors():
         factors.insert(rng.randrange(len(factors) + 1), complete_digraph(2 + seed // 2 % 2))
         verdicts += _verdicts(seed, rng, KINDS[seed % 2][0], factors)
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def _p3() -> Digraph:
+    return Digraph(3, [(0, 1), (1, 2)])
+
+
+# Inputs with closed out-neighbourhood classes of more than one vertex.
+NON_THIN = {
+    "p3_blowup_211": lambda: blowup(_p3(), [2, 1, 1]),
+    "p2p2_blowup_1222": lambda: blowup(strong_product([p2(), p2()]).graph, [1, 2, 2, 2]),
+    "p2_c3_k2": lambda: strong_product([p2(), c3(), k2()]).graph,
+    "c3_k2": lambda: strong_product([c3(), k2()]).graph,
+    "p3_k2": lambda: strong_product([_p3(), k2()]).graph,
+}
+
+
+def _flips(h: Digraph, count: int):
+    """h with each set of `count` ordered vertex pairs toggled."""
+    pairs = [(x, y) for x in range(h.n) for y in range(h.n) if x != y]
+    for toggled in itertools.combinations(pairs, count):
+        yield Digraph(h.n, h.arc_set ^ set(toggled))
+
+
+def _class_cases(g: Digraph):
+    """strong_pfd(g) with one or two arcs of one factor toggled; g as its
+    own factor over identity coordinates with one arc toggled in the factor
+    or in the input; and g as its own factor with two coordinates swapped."""
+    f = strong_pfd(g)
+    yield g, f
+    for j, h in enumerate(f.factors):
+        for flipped in itertools.chain(_flips(h, 1), _flips(h, 2)):
+            yield g, Factorization(f.factors[:j] + (flipped,) + f.factors[j + 1 :], f.coords)
+    identity = tuple((v,) for v in range(g.n))
+    for flipped in _flips(g, 1):
+        yield g, Factorization((flipped,), identity)
+        yield flipped, Factorization((g,), identity)
+    for u, w in itertools.combinations(range(g.n), 2):
+        swapped = list(identity)
+        swapped[u], swapped[w] = identity[w], identity[u]
+        yield g, Factorization((g,), tuple(swapped))
+
+
+@pytest.mark.parametrize("build", NON_THIN.values(), ids=NON_THIN)
+def test_certificate_agrees_with_reconstruction_on_classes(build):
+    # A class's projection must hold the coordinates of its first member,
+    # and the one-factor exit must see identity coordinates.
+    verdicts = []
+    for g, f in _class_cases(build()):
+        verdict = _holds(lambda: is_strong_product(g, f))
+        assert verdict == _holds(lambda: reconstruct_strong(f) == g), (g, f)
+        verdicts.append(verdict)
+    assert verdicts[0] and not all(verdicts)
 
 
 K2 = complete_digraph(2)
