@@ -39,18 +39,21 @@ def _vertex_index(f: Factorization) -> dict[tuple[int, ...], int]:
 
 def is_strong_product(g: Digraph, f: Factorization) -> bool:
     """Certificate that g is the strong product of f's factors under f's
-    coordinates, in O(n + sum over classes of deg k + n sum_j |N+_j|),
-    without building the product.
+    coordinates, without building the product.
 
     With the coordinates a bijection onto the grid, N+[v] is the product of
     the factor neighbourhoods N+_j[c_j(v)] exactly when every out-neighbour
     w of v has c_j(w) in N+_j[c_j(v)] for every j and |N+[v]| is the
     product of their sizes.  The vertices of one class of `g.out_mask`
-    share N+[r], r the first of them, so its projection P_j is built once
-    and each member v is checked by P_j <= N+_j[c_j(v)]; a one-vertex class
-    is checked on its out-neighbours, with no set built.  A complete
-    factor's N+_j[x] holds every grid coordinate, so it only scales the
-    sizes.  The input as its own single factor, v at (v,), passes at once.
+    share N+[r], r the first of them, so its projection P_j, which holds
+    c_j(r), is built once and each member v is checked by
+    P_j <= N+_j[c_j(v)].  A complete factor's N+_j[x] holds every grid
+    coordinate, so it only scales the sizes.  With `g.out_mask` cached, as
+    it is inside `strong_pfd`, this costs
+    O(n + sum over classes of deg k + n sum_j |N+_j|); on a graph whose
+    masks were never read it first builds them, Theta(n^2) bits on sparse
+    input.  When the single factor is g itself and v is at (v,), g passes
+    in O(n); a factor equal to g but not g is compared arc by arc first.
     """
     if f.factors == (g,) and f.coords == tuple(zip(range(g.n))):
         return True
@@ -68,10 +71,6 @@ def is_strong_product(g: Digraph, f: Factorization) -> bool:
         closed = [frozenset((x,) + h.out_adj[x]) for x in range(h.n)]
         for members in classes.values():
             r = members[0]
-            if len(members) == 1:
-                if not closed[column[r]].issuperset(map(column.__getitem__, g.out_adj[r])):
-                    return False
-                continue
             p = {column[w] for w in (r, *g.out_adj[r])}
             if not all(closed[column[v]] >= p for v in members):
                 return False
