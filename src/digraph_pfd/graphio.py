@@ -1,9 +1,9 @@
 """Edge-list text format and DOT export.
 
 The format is a header line "n m" followed by m lines "u v", one arc per
-line; lines starting with "#" are comments.  Serialization sorts arcs
-lexicographically so output bytes are stable and parse/serialize round-trip
-exactly on normalized text.
+line and no arc twice; lines starting with "#" are comments.  Serialization
+sorts arcs lexicographically so output bytes are stable and parse/serialize
+round-trip exactly on normalized text.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ MAX_VERTICES = 1_000_000
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format; raises with the offending line number."""
     header: tuple[int, int] | None = None
-    arcs: list[Arc] = []
+    arcs: dict[Arc, int] = {}  # each arc and the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -62,14 +62,16 @@ def parse_edge_list(text: str) -> Digraph:
             raise VertexOutOfRangeError(
                 f"line {lineno}: arc ({a}, {b}) outside 0..{n - 1}"
             )
-        arcs.append((a, b))
+        if (a, b) in arcs:
+            raise ParseError(f"arc ({a}, {b}) repeats line {arcs[a, b]}", line=lineno)
+        arcs[a, b] = lineno
     if header is None:
         raise ParseError("missing header line")
     if len(arcs) != header[1]:
         raise ArityMismatchError(
             f"header declares {header[1]} arcs but body has {len(arcs)}"
         )
-    return Digraph(header[0], arcs)
+    return Digraph(header[0], list(arcs))
 
 
 def serialize_edge_list(g: Digraph) -> str:

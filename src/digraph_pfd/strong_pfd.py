@@ -35,13 +35,10 @@ def _project(x: Sequence[int], idx: Iterable[int]) -> tuple[int, ...]:
     return tuple(x[i] for i in idx)
 
 
-def _grouped(g: Digraph, coords: Coords, sizes: Sequence[int], groups) -> Factorization:
-    """g over groups of coordinates: coordinate J of a vertex is the row-major
-    rank of its projection onto J; the factors are the layers through vertex 0."""
+def _ranks(coords: Coords, sizes: Sequence[int], groups) -> tuple[tuple[int, ...], ...]:
+    """Coordinate J of a vertex is the row-major rank of its projection onto J."""
     strides = [(J, _strides([sizes[j] for j in J])) for J in groups]
-    ranks = tuple(tuple(sum(c[j] * s for j, s in zip(J, st)) for J, st in strides) for c in coords)
-    group_sizes = [math.prod(sizes[j] for j in J) for J in groups]
-    return Factorization(tuple(_layers(g, ranks, group_sizes, 0)), ranks)
+    return tuple(tuple(sum(c[j] * s for j, s in zip(J, st)) for J, st in strides) for c in coords)
 
 
 def verify_strong_grouping(
@@ -63,32 +60,32 @@ def verify_strong_grouping(
         return None
     c_idx = tuple(j for j in range(k) if j not in j_idx)
     sizes = [max(c[j] for c in coords) + 1 for j in range(k)]
-    f = _grouped(g, coords, sizes, (j_idx, c_idx))
+    ranks = _ranks(coords, sizes, (j_idx, c_idx))
+    group_sizes = [math.prod(sizes[j] for j in J) for J in (j_idx, c_idx)]
+    f = Factorization(tuple(_layers(g, ranks, group_sizes, 0)), ranks)
     return f.factors if is_strong_product(g, f) else None
 
 
-def _greedy_groups(
-    indices: Iterable[int], accept: Callable[[tuple[int, ...], tuple[int, ...]], bool]
-) -> list[tuple[int, ...]]:
-    """Split the indices into groups.  Each group is the first proper subset J
-    of the remaining indices, smallest first and then in lexicographic order,
-    for which accept(J, remaining) holds; when none does, the remaining
-    indices form the last group."""
+def _greedy_groups(indices: Iterable[int], rest, split: Callable) -> tuple[list, list]:
+    """Split the non-empty indices into groups and the factors they split off.
+    split(P, rest) gives the factor over the positions P of the remaining
+    indices and the rest over the others, or None.  The first proper subset to
+    split, smallest first then lexicographic, is the next group; the search
+    goes on in its rest, and what no subset splits is the last group and factor."""
     groups: list[tuple[int, ...]] = []
+    heads = []
     remaining = tuple(indices)
-    while remaining:
-        found = next(
-            (
-                J
-                for size in range(1, len(remaining))
-                for J in itertools.combinations(remaining, size)
-                if accept(J, remaining)
-            ),
-            remaining,
-        )
-        groups.append(found)
-        remaining = tuple(j for j in remaining if j not in found)
-    return groups
+    while True:
+        k = len(remaining)
+        for P in itertools.chain(*(itertools.combinations(range(k), s) for s in range(1, k))):
+            if (parts := split(P, rest)) is not None:
+                break
+        else:
+            return groups + [remaining], heads + [rest]
+        groups.append(tuple(remaining[p] for p in P))
+        head, rest = parts
+        heads.append(head)
+        remaining = tuple(j for p, j in enumerate(remaining) if p not in P)
 
 
 def _certified(g: Digraph, result: Factorization) -> Factorization:
@@ -121,16 +118,21 @@ def _thin(g: Digraph) -> Factorization:
         return _prime(g)
     sk = sk.skeleton  # free the kernel's records, unread, before the Cartesian stage
     cf = cartesian_pfd(sk)
-    coords = cf.coords
 
-    groups = _greedy_groups(
-        range(len(cf.factors)),
-        lambda J, rest: verify_strong_grouping(g, coords, J) is not None,
-    )
+    def split(P: tuple[int, ...], rest):
+        # Vertex v of a co-layer lies at the v-th point of its row-major grid.
+        b, coords = rest
+        parts = verify_strong_grouping(b, coords, P)
+        if parts is None:
+            return None
+        others = [max(column) + 1 for p, column in enumerate(zip(*coords)) if p not in P]
+        return parts[0], (parts[1], _grid(others))
+
+    groups, heads = _greedy_groups(range(len(cf.factors)), (g, cf.coords), split)
     if len(groups) == 1:
         return _prime(g)
-
-    return _grouped(g, coords, [f.n for f in cf.factors], groups)
+    last, _ = heads.pop()  # the co-layer left over, with its coordinates
+    return Factorization((*heads, last), _ranks(cf.coords, [f.n for f in cf.factors], groups))
 
 
 def gcd_multiplicity(
@@ -175,28 +177,27 @@ def strong_pfd(g: Digraph) -> Factorization:
         # Thin: the quotient is g itself with every multiplicity 1.
         return strong_pfd_thin(g)
     l = math.gcd(*part.sizes)
-    mult = [s // l for s in part.sizes]
     h = quotient(g).quotient
     primes = _prime_factors(l)
 
     group_sets: list[tuple[int, ...]] = []
+    tables: list[dict[tuple[int, ...], int]] = []
     coords_h: Coords = ((),) * h.n
     if h.n > 1:
         thin_f = _thin(h)
         coords_h = thin_f.coords
-        table = {coords_h[v]: mult[v] for v in range(h.n)}
+        table = {x: s // l for x, s in zip(coords_h, part.sizes)}
 
-        def splits(J: tuple[int, ...], rest: tuple[int, ...]) -> bool:
-            # The class sizes over rest must be the sizes over J times those
-            # over the others; the gcd projections are the only candidates.
-            others = tuple(j for j in rest if j not in J)
-            d_r, d_j, d_c = (gcd_multiplicity(table, I) for I in (rest, J, others))
-            return all(
-                d_r[_project(x, rest)] == d_j[_project(x, J)] * d_c[_project(x, others)]
-                for x in table
-            )
+        def splits(P: tuple[int, ...], rest: dict[tuple[int, ...], int]):
+            # Each class size must be its gcd projection over P times the one
+            # over the others; a projection of a projection is a projection.
+            others = [p for p in range(len(next(iter(rest)))) if p not in P]
+            d_j, d_c = gcd_multiplicity(rest, P), gcd_multiplicity(rest, others)
+            if all(m == d_j[_project(x, P)] * d_c[_project(x, others)] for x, m in rest.items()):
+                return d_j, d_c
+            return None
 
-        group_sets = _greedy_groups(range(len(thin_f.factors)), splits)
+        group_sets, tables = _greedy_groups(range(len(thin_f.factors)), table, splits)
     if len(group_sets) + len(primes) == 1:
         return _certified(g, _prime(g))
 
@@ -205,8 +206,7 @@ def strong_pfd(g: Digraph) -> Factorization:
     # factor, a vertex of the class at x takes the next mixed-radix digit of its
     # rank in the class, base |block at x_J|, plus that block's start.
     blocks = []
-    for J in group_sets:
-        d_j = gcd_multiplicity(table, J)
+    for J, d_j in zip(group_sets, tables):
         grid = _grid([thin_f.factors[j].n for j in J])
         starts = itertools.accumulate((d_j[y] for y in grid), initial=0)
         blocks.append((J, {y: (d_j[y], start) for y, start in zip(grid, starts)}))

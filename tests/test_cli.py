@@ -186,6 +186,15 @@ def test_factor_rejects_header_above_vertex_limit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_factor_rejects_a_repeated_arc(tmp_path, capsys):
+    path = tmp_path / "twice.txt"
+    path.write_text("2 2\n0 1\n0 1\n", encoding="utf-8")
+    assert main(["factor", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3:") and "repeats line 2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["factor", "skeleton", "quotient"])
 def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command):
     path = tmp_path / "bad.txt"

@@ -52,6 +52,11 @@ def test_parse_rejects_arity_mismatch():
         parse_edge_list("2 2\n0 1\n")
 
 
+def test_parse_rejects_a_repeated_arc_with_line():
+    with pytest.raises(ParseError, match="line 4: arc \\(0, 1\\) repeats line 2"):
+        parse_edge_list("2 2\n0 1\n# again\n0 1\n")
+
+
 def test_comments_and_blanks_ignored():
     text = "# fixture\n\n2 1\n# body\n0 1\n\n"
     assert parse_edge_list(text) == p2()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraph_pfd import (
     Digraph,
@@ -113,7 +114,7 @@ def _layer_product_arcs(g, coords, J):
     return arcs, len(a_arcs), len(b_arcs)
 
 
-def test_grouping_verdict_matches_layer_product_check():
+def _grouping_cases():
     cases = [bidirected_cube(k) for k in (3, 4, 5)]
     # Skeletons that split further than the strong factors: some subsets are
     # rejected and some accepted in one graph.
@@ -129,8 +130,12 @@ def test_grouping_verdict_matches_layer_product_check():
             perm = list(range(g.n))
             random.Random(seed).shuffle(perm)
             cases.append(g.relabel(perm) if i % 2 else g)
+    return cases
+
+
+def test_grouping_verdict_matches_layer_product_check():
     max_k = proper_accepted = 0
-    for g in cases:
+    for g in _grouping_cases():
         coords = _skeleton_coords(g)
         k = len(coords[0])
         max_k = max(max_k, k)
@@ -144,6 +149,34 @@ def test_grouping_verdict_matches_layer_product_check():
                     assert (found[0].arc_count, found[1].arc_count) == (a_count, b_count)
                     proper_accepted += size < k
     assert max_k >= 3 and proper_accepted > 0
+
+
+def test_co_layer_split_matches_the_split_of_the_whole_input():
+    # Once g = A x B under the coordinates, with J the indices of A, a set J2
+    # of the other indices splits g exactly when its positions split the
+    # co-layer B, whose vertex v lies at the v-th point of its row-major grid.
+    co_layers = splits = 0
+    for g in _grouping_cases():
+        coords = _skeleton_coords(g)
+        k = len(coords[0])
+        for size in range(1, k):
+            for J in itertools.combinations(range(k), size):
+                found = verify_strong_grouping(g, coords, J)
+                if found is None:
+                    continue
+                co_layers += 1
+                others = [j for j in range(k) if j not in J]
+                sizes = [max(c[j] for c in coords) + 1 for j in others]
+                grid = tuple(itertools.product(*map(range, sizes)))
+                for size2 in range(1, len(others) + 1):
+                    for P in itertools.combinations(range(len(others)), size2):
+                        whole = verify_strong_grouping(g, coords, [others[p] for p in P])
+                        part = verify_strong_grouping(found[1], grid, P)
+                        assert (whole is None) == (part is None), (g, J, P)
+                        if whole is not None:
+                            assert whole[0] == part[0], (g, J, P)
+                            splits += size2 < len(others)
+    assert co_layers > 0 and splits > 0
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -191,6 +224,21 @@ def test_gcd_multiplicity_examples():
     ones = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
     assert gcd_multiplicity(ones, [0]) == {(0,): 1, (1,): 1}
     assert gcd_multiplicity(table, [1, 0, 1]) == gcd_multiplicity(table, [0, 1]) == table
+
+
+@given(st.data())
+def test_gcd_projections_compose(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    grid = list(itertools.product(*map(range, sizes)))
+    values = data.draw(st.lists(st.integers(1, 60), min_size=len(grid), max_size=len(grid)))
+    table = dict(zip(grid, values))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    R = [j for j, kept in enumerate(keep) if kept]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(R), max_size=len(R)))
+    P = [p for p, kept in enumerate(keep) if kept]
+    assert gcd_multiplicity(gcd_multiplicity(table, R), P) == gcd_multiplicity(
+        table, [R[p] for p in P]
+    )
 
 
 @pytest.mark.parametrize("J", [[1], [-1], [0, 2]])
