@@ -3,11 +3,14 @@
 ledger over a fixed seeded corpus, one line per input.
 
 The corpus is every connected digraph on at most 4 vertices, seeded random
-connected digraphs, and relabelled strong products of seeded primes, half of
-them times K2.  Each line holds the input's label and, for each of the three
-calls, the repr of its result or the type and message of the exception it
-raised.  Two trees, or one tree under `python` and `python -O`, give the same
-outputs exactly when the printed text is identical:
+connected digraphs, relabelled strong products of seeded primes, half of
+them times K2, and hub shapes with a relabelled copy of each: out-, in- and
+bidirected stars, brooms (a directed path with a star at its end) and
+stars times P2 under the strong product, at most 40 vertices each.  Each
+line holds the input's label and, for each of the three calls, the repr of
+its result or the type and message of the exception it raised.  Two trees,
+or one tree under `python` and `python -O`, give the same outputs exactly
+when the printed text is identical:
 
     PYTHONPATH=src python scripts/output_digest.py > a.txt
     PYTHONPATH=src python -O scripts/output_digest.py > b.txt
@@ -15,6 +18,7 @@ outputs exactly when the printed text is identical:
 """
 
 from digraph_pfd import (
+    Digraph,
     SplitMix64,
     cartesian_pfd,
     cartesian_skeleton,
@@ -28,6 +32,31 @@ from digraph_pfd import (
 
 RANDOM_GRAPHS = 300
 PRODUCTS = 200
+HUB_SIZES = (3, 6, 13, 20)
+
+
+def star(n: int, kind: str) -> Digraph:
+    """Hub 0 and n - 1 leaves, with arcs out of the hub, into it, or both."""
+    out = [(0, v) for v in range(1, n)]
+    into = [(v, 0) for v in range(1, n)]
+    return Digraph(n, {"out": out, "in": into, "both": out + into}[kind])
+
+
+def broom(n: int) -> Digraph:
+    """A directed path 0 -> ... -> n - 1 whose end is the hub of a star on
+    n more vertices, its arcs alternately out of the hub and into it."""
+    path = [(v, v + 1) for v in range(n - 1)]
+    bristles = [(n - 1, w) if w % 2 else (w, n - 1) for w in range(n, 2 * n)]
+    return Digraph(2 * n, path + bristles)
+
+
+def hubs():
+    p2 = Digraph(2, [(0, 1)])
+    for n in HUB_SIZES:
+        for kind in ("out", "in", "both"):
+            yield f"{kind}star{n}", star(2 * n, kind)
+            yield f"{kind}star{n}xP2", strong_product([star(n, kind), p2]).graph
+        yield f"broom{n}", broom(n)
 
 
 def corpus():
@@ -45,6 +74,11 @@ def corpus():
         perm = list(range(g.n))
         rng.shuffle(perm)
         yield f"product#{i}", g.relabel(perm)
+    for i, (label, g) in enumerate(hubs()):
+        yield label, g
+        perm = list(range(g.n))
+        SplitMix64(20_000 + i).shuffle(perm)
+        yield f"{label}#relabelled", g.relabel(perm)
 
 
 def outcome(call) -> str:

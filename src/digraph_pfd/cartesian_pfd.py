@@ -1,15 +1,16 @@
 """Prime factorization of connected digraphs over the Cartesian product.
 
-One equivalence closure colours the edges of the undirected shadow.  It
-joins (a) the opposite edges of every chordless square, (b) two edges va, vb
-at a vertex v unless (a, b) spans exactly one chordless square, and (c) the
-two edges at a corner of every misoriented chordless square, where an edge
-and its opposite edge carry different arcs: the two copies of a factor that
-such a square joins differ as digraphs, so its edges lie in one factor.  Each
-square is read once, at its least corner, and there are no merge rounds.  One
-breadth-first search places the vertices, the layers through vertex 0 are
-read off as the factors, and is_cartesian_product certifies the placement:
-it is the only check, also of a caller's colouring in direction_conflicts.
+One equivalence closure, read off the digraph's adjacency lists and arc set,
+colours the edges of its shadow.  It joins (a) the opposite edges of every
+chordless square, (b) two edges va, vb at a vertex v unless (a, b) spans
+exactly one chordless square, and (c) the two edges at a corner of every
+misoriented chordless square, where an edge and its opposite edge carry
+different arcs: the two copies of a factor that such a square joins differ
+as digraphs, so its edges lie in one factor.  Each square is read once, at
+its least corner, and there are no merge rounds.  One breadth-first search
+over the digraph places the vertices, the layers through vertex 0 are read
+off as the factors, and is_cartesian_product certifies the placement: it is
+the only check, also of a caller's colouring in direction_conflicts.
 """
 
 from __future__ import annotations
@@ -53,22 +54,23 @@ class EdgeColoring:
     count: int
 
 
-def _closure_coloring(ug: UndirectedGraph, arcs: frozenset[Edge]) -> EdgeColoring:
-    """Equivalence closure of the chordless-square relation of the shadow ug
-    of a digraph with arc set arcs.
+def _closure_coloring(g: Digraph) -> EdgeColoring:
+    """Equivalence closure of the chordless-square relation of g's shadow.
 
     At v, mid[x] lists the neighbours of v adjacent to x, for x outside N[v];
     a non-adjacent pair (a, b) in mid[x] is the chordless square v-a-x-b,
     whose unions are made at its least corner only: va ~ bx and vb ~ ax, and
     va ~ vb when va and bx, or vb and ax, carry different arcs.  va ~ vb also
     unless (a, b) spans exactly one chordless square."""
-    adj = ug.adj
-    eid: list[dict[int, int]] = [{} for _ in range(ug.n)]
-    for k, (u, w) in enumerate(ug.edges):
+    adj = [frozenset(out + into) for out, into in zip(g.out_adj, g.in_adj)]
+    edges = sorted({(u, v) if u < v else (v, u) for u, v in g.arcs})
+    arcs = g.arc_set
+    eid: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for k, (u, w) in enumerate(edges):
         eid[u][w] = eid[w][u] = k
-    parent = list(range(len(ug.edges)))
+    parent = list(range(len(edges)))
 
-    for v in range(ug.n):
+    for v in range(g.n):
         nbrs = sorted(adj[v])
         closed = adj[v] | {v}
         mid: dict[int, list[int]] = {}
@@ -96,52 +98,36 @@ def _closure_coloring(ug: UndirectedGraph, arcs: frozenset[Edge]) -> EdgeColorin
             if squares.get((a, b)) != 1:
                 _union(parent, ev[a], ev[b])
 
-    roots = [_find(parent, i) for i in range(len(ug.edges))]
+    roots = [_find(parent, i) for i in range(len(edges))]
     relabel = {r: i for i, r in enumerate(sorted(set(roots)))}
-    return EdgeColoring({e: relabel[r] for e, r in zip(ug.edges, roots)}, len(relabel))
+    return EdgeColoring({e: relabel[r] for e, r in zip(edges, roots)}, len(relabel))
 
 
-def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
-    """Product coordinates that a coloring of every edge of ug proposes.
+def _coordinatize(g: Digraph, coloring: EdgeColoring):
+    """Product coordinates that a coloring of g's shadow proposes.
 
     Returns (positions, coords): positions[i] lists the vertices of the
     colour-i layer through vertex 0, and coords[v][i] is the rank in
     positions[i] of the projection of v onto that layer.  Raises
-    InvalidColoringError when the vertices cannot be placed.
+    InvalidColoringError when the layers cannot hold n vertices.
 
-    One breadth-first search from 0 places every vertex v: it copies the
-    coordinates of an earlier-level neighbour across an i-edge, then takes
-    coordinate i from an earlier-level neighbour across an edge of another
-    color, or else from its rank in positions[i].  In a product every
-    non-zero coordinate j of v gives v an earlier-level j-neighbour, so these
-    are the product coordinates.  Nothing here checks them: each caller
-    certifies the placement with is_cartesian_product.
+    One breadth-first search from 0 labels each coordinate of a vertex v by
+    the vertex of the layer through 0 that v projects to: v copies the labels
+    of an earlier-level neighbour across an i-edge, then takes label i from
+    an earlier-level neighbour across an edge of another colour, or else is
+    its own label i.  In a product every non-zero coordinate j of v gives v
+    an earlier-level j-neighbour, so these are the product coordinates, and
+    one last pass turns the labels into ranks.  Nothing here checks them:
+    each caller certifies the placement with is_cartesian_product.
     """
-    n = ug.n
-    count = coloring.count
     colors = coloring.colors
-    by_color: list[list[Edge]] = [[] for _ in range(count)]
-    for e, i in colors.items():
-        by_color[i].append(e)
-
-    positions: list[list[int]] = []
-    for i in range(count):
-        parent = list(range(n))
-        for u, v in by_color[i]:
-            _union(parent, u, v)
-        positions.append([v for v in range(n) if _find(parent, v) == 0])
-    if prod(map(len, positions)) != n:
-        raise InvalidColoringError("coloring is not a product coloring")
-    ranks = [{p: r for r, p in enumerate(layer)} for layer in positions]
-
-    coords: list[list[int]] = [[0] * count] * n  # each v > 0 gets its own copy
-    adj = ug.adj
-    level = [-1] * n
+    labels: list[list[int]] = [[0] * coloring.count] * g.n  # each v > 0 gets its own copy
+    level = [-1] * g.n
     level[0] = 0
     order = [0]
     for v in order:
         below, j = level[v] - 1, None
-        for w in adj[v]:
+        for w in g.out_adj[v] + g.in_adj[v]:
             lw = level[w]
             if lw < 0:
                 level[w] = below + 2
@@ -149,15 +135,22 @@ def _coordinatize(ug: UndirectedGraph, coloring: EdgeColoring):
             elif lw == below:
                 i = colors[(v, w) if v < w else (w, v)]
                 if j is None:
-                    u, j, r = w, i, ranks[i].get(v)
+                    u, j, r = w, i, v
                 elif i != j:
-                    r = coords[w][j]
+                    r = labels[w][j]
         if j is not None:
-            if r is None:
-                raise InvalidColoringError("coloring is not a product coloring")
-            coords[v] = c = coords[u][:]
+            labels[v] = c = labels[u][:]
             c[j] = r
-    return positions, tuple(map(tuple, coords))
+    positions = [sorted(set(column)) for column in zip(*labels)]
+    if prod(map(len, positions)) != g.n:
+        raise InvalidColoringError("coloring is not a product coloring")
+    ranks = [{p: r for r, p in enumerate(layer)} for layer in positions]
+    return positions, tuple(tuple(map(dict.__getitem__, ranks, c)) for c in labels)
+
+
+def _symmetric(ug: UndirectedGraph) -> Digraph:
+    """ug with both arcs on each edge: a digraph with no misoriented square."""
+    return Digraph(ug.n, [*ug.edges, *((v, u) for u, v in ug.edges)])
 
 
 def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
@@ -167,7 +160,7 @@ def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
         raise NotConnectedError("Cartesian PFD requires a connected graph")
     if ug.n <= 1:
         return EdgeColoring({}, 0)
-    return _closure_coloring(ug, frozenset())
+    return _closure_coloring(_symmetric(ug))
 
 
 def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
@@ -183,8 +176,8 @@ def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
         raise InvalidColoringError("coloring does not cover the underlying edges")
     if not ug.n or not all(0 <= i < coloring.count for i in coloring.colors.values()):
         raise InvalidColoringError("coloring is not a product coloring")
-    positions, coords = _coordinatize(ug, coloring)
-    shadow = Digraph(ug.n, [*ug.edges, *((v, u) for u, v in ug.edges)])
+    shadow = _symmetric(ug)
+    positions, coords = _coordinatize(shadow, coloring)
     try:
         layers = _layers(shadow, coords, list(map(len, positions)), 0)
         certified = is_cartesian_product(shadow, Factorization(tuple(layers), coords))
@@ -229,16 +222,15 @@ def direction_conflicts(g: Digraph, coloring: EdgeColoring) -> list[tuple[int, i
 
 def cartesian_pfd(g: Digraph) -> Factorization:
     """Unique prime factorization of a connected digraph over the Cartesian
-    product: one closure of the shadow with its arcs, one placement, and the
+    product: one closure of its shadow's squares, one placement, and the
     factors read off that placement."""
     if g.n == 0:
         return Factorization((), ())
     if g.n == 1:
         return Factorization((g,), ((0,),))
-    ug = g.underlying_undirected()
-    if not ug.is_connected():
+    if not g.is_connected():
         raise NotConnectedError("Cartesian PFD requires a connected graph")
-    positions, coords = _coordinatize(ug, _closure_coloring(ug, g.arc_set))
+    positions, coords = _coordinatize(g, _closure_coloring(g))
     result = Factorization(tuple(_layers(g, coords, list(map(len, positions)), 0)), coords)
     if not is_cartesian_product(g, result):
         raise ReconstructionError("result is not the Cartesian product of its factors")

@@ -139,8 +139,11 @@ def gcd_multiplicity(
     table: Mapping[tuple[int, ...], int], J: Iterable[int]
 ) -> dict[tuple[int, ...], int]:
     """Project a class-size table onto the J coordinates by gcd; J is read
-    as a set of indices into the table's keys."""
+    as a set of indices into the table's keys, which share one length."""
     j_idx = tuple(sorted(set(J)))
+    lengths = set(map(len, table))
+    if len(lengths) > 1:
+        raise IndexOutOfRangeError(f"class-size keys of lengths {sorted(lengths)} in one table")
     k = len(next(iter(table), ()))
     if table and j_idx and not 0 <= j_idx[0] <= j_idx[-1] < k:
         raise IndexOutOfRangeError(f"coordinate index outside 0..{k - 1}")

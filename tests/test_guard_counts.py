@@ -1,9 +1,10 @@
 """Each public factorizer guards its input once per stage that needs it and
 certifies only the result it returns: connectivity searches and product
 certificates counted on a thin strong product, the same product times K2,
-a non-thin prime over a composite quotient, and a Cartesian product.
-cartesian_pfd places the vertices once per call, also when misoriented
-squares join factors of the shadow."""
+a non-thin prime over a composite quotient, and a Cartesian product.  The
+Cartesian stage reads the digraph it factors and builds no UndirectedGraph
+shadow.  cartesian_pfd places the vertices once per call, also when
+misoriented squares join factors of the shadow."""
 
 import importlib
 
@@ -48,7 +49,7 @@ def _count(monkeypatch, owner, attr, counts, key, when=lambda: True):
 @pytest.mark.parametrize("case", CASES)
 def test_one_guard_per_stage_and_one_certificate(monkeypatch, case):
     fn, g, bfs, strong, cartesian, factors = CASES[case]
-    counts = {"bfs": 0, "strong": 0, "cartesian": 0}
+    counts = {"bfs": 0, "strong": 0, "cartesian": 0, "shadows": 0}
     in_verify = [0]
     verify = strong_pfd_mod.verify_strong_grouping
 
@@ -61,7 +62,7 @@ def test_one_guard_per_stage_and_one_certificate(monkeypatch, case):
 
     monkeypatch.setattr(strong_pfd_mod, "verify_strong_grouping", counted_verify)
     _count(monkeypatch, Digraph, "is_connected", counts, "bfs")
-    _count(monkeypatch, UndirectedGraph, "is_connected", counts, "bfs")
+    _count(monkeypatch, UndirectedGraph, "__init__", counts, "shadows")
     _count(
         monkeypatch, strong_pfd_mod, "is_strong_product", counts, "strong", lambda: not in_verify[0]
     )
@@ -70,6 +71,7 @@ def test_one_guard_per_stage_and_one_certificate(monkeypatch, case):
     module = strong_pfd_mod if fn == "strong_pfd" else cartesian_pfd_mod
     assert len(getattr(module, fn)(g).factors) == factors
     assert (counts["bfs"], counts["strong"], counts["cartesian"]) == (bfs, strong, cartesian)
+    assert counts["shadows"] == 0
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from digraph_pfd import (
 )
 from digraph_pfd.oracle import SplitMix64
 
-from helpers import converse, factor_forms
+from helpers import converse, factor_forms, random_orientation, undirected_shape
 
 
 @pytest.mark.parametrize(
@@ -53,6 +53,46 @@ def test_every_labelling_up_to_four_vertices():
                     assert cartesian_skeleton(h).skeleton == skeleton.relabel(perm), (g, perm)
                 labellings += 1
     assert labellings == 4859
+
+
+def oriented_grid(rng):
+    """An orientation of the product of two undirected paths or cycles, on
+    5-8 vertices: its shadow factors, so its misoriented squares decide
+    whether the digraph does."""
+    while True:
+        shapes = [undirected_shape(rng) for _ in range(2)]
+        if 5 <= shapes[0].n * shapes[1].n <= 8:
+            return random_orientation(cartesian_product(shapes).graph, rng)
+
+
+def small_digraph(rng):
+    if rng.below(2):
+        return oriented_grid(rng)
+    return random_connected_digraph((5, 8), rng.next64())
+
+
+def test_seeded_relabellings_beyond_four_vertices():
+    # Above four vertices not every labelling can be tried, so each input
+    # gets seeded relabellings instead: connected digraphs on 5-8 vertices,
+    # half of them oriented grids, and strong or Cartesian products of two:
+    # 200 relabellings in all.
+    for s in range(50):
+        rng = SplitMix64(5300 + s)
+        g = small_digraph(rng)
+        if s % 5 >= 3:
+            product = strong_product if s % 5 == 3 else cartesian_product
+            g = product([g, small_digraph(rng)]).graph
+        strong = factor_forms(strong_pfd(g).factors)
+        cartesian = factor_forms(cartesian_pfd(g).factors)
+        skeleton = cartesian_skeleton(g).skeleton if is_thin(g) else None
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            assert factor_forms(strong_pfd(h).factors) == strong, (g, perm)
+            assert factor_forms(cartesian_pfd(h).factors) == cartesian, (g, perm)
+            if skeleton is not None:
+                assert cartesian_skeleton(h).skeleton == skeleton.relabel(perm), (g, perm)
 
 
 @pytest.mark.parametrize(

@@ -241,10 +241,20 @@ def test_gcd_projections_compose(data):
     )
 
 
-@pytest.mark.parametrize("J", [[1], [-1], [0, 2]])
-def test_gcd_multiplicity_rejects_an_index_outside_the_keys(J):
+@pytest.mark.parametrize(
+    "table, J",
+    [
+        *(({(0,): 2, (1,): 4}, J) for J in ([1], [-1], [0, 2])),
+        # keys of different lengths: index 1 lies outside the shorter key,
+        # and index 0 lies inside both but the table has no one grid
+        ({(0, 1): 1, (0,): 2}, [1]),
+        ({(0, 1): 2, (1,): 4}, [0]),
+    ],
+    ids=["J0", "J1", "J2", "ragged_outside", "ragged_inside"],
+)
+def test_gcd_multiplicity_rejects_an_index_outside_the_keys(table, J):
     with pytest.raises(IndexOutOfRangeError):
-        gcd_multiplicity({(0,): 2, (1,): 4}, J)
+        gcd_multiplicity(table, J)
 
 
 def test_strong_pfd_p2_k2():
