@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Print the outputs of strong_pfd, cartesian_pfd and the skeleton's removal
-ledger over a fixed seeded corpus, one line per input.
+"""Print the outputs of strong_pfd, cartesian_pfd, the skeleton's removal
+ledger and direction_conflicts over a fixed seeded corpus, one line per
+input.
 
 The corpus is every connected digraph on at most 4 vertices, seeded random
 connected digraphs, relabelled strong products of seeded primes, half of
 them times K2, and hub shapes with a relabelled copy of each: out-, in- and
 bidirected stars, brooms (a directed path with a star at its end) and
-stars times P2 under the strong product, at most 40 vertices each.  Each
-line holds the input's label and, for each of the three calls, the repr of
-its result or the type and message of the exception it raised.  Two trees,
-or one tree under `python` and `python -O`, give the same outputs exactly
-when the printed text is identical:
+stars times P2 under the strong product, at most 40 vertices each.
+direction_conflicts checks the input against the finest colouring of its
+shadow, from undirected_cartesian_pfd.  Each line holds the input's label
+and, for each of the four calls, the repr of its result or the type and
+message of the exception it raised.  Two trees, or one tree under `python`
+and `python -O`, give the same outputs exactly when the printed text is
+identical:
 
     PYTHONPATH=src python scripts/output_digest.py > a.txt
     PYTHONPATH=src python -O scripts/output_digest.py > b.txt
@@ -23,11 +26,13 @@ from digraph_pfd import (
     cartesian_pfd,
     cartesian_skeleton,
     complete_digraph,
+    direction_conflicts,
     enumerate_connected_digraphs,
     random_connected_digraph,
     random_prime_digraph,
     strong_pfd,
     strong_product,
+    undirected_cartesian_pfd,
 )
 
 RANDOM_GRAPHS = 300
@@ -95,6 +100,9 @@ def main() -> None:
             outcome(lambda: strong_pfd(g)),
             outcome(lambda: cartesian_pfd(g)),
             outcome(lambda: cartesian_skeleton(g).removed),
+            outcome(
+                lambda: direction_conflicts(g, undirected_cartesian_pfd(g.underlying_undirected()))
+            ),
             sep="\t",
         )
 

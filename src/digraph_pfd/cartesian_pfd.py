@@ -9,8 +9,10 @@ different arcs: the two copies of a factor that such a square joins differ
 as digraphs, so its edges lie in one factor.  Each square is read once, at
 its least corner, and there are no merge rounds.  One breadth-first search
 over the digraph places the vertices, the layers through vertex 0 are read
-off as the factors, and is_cartesian_product certifies the placement: it is
-the only check, also of a caller's colouring in direction_conflicts.
+off as the factors, and is_cartesian_product certifies the placement.  It
+is the only check, also in direction_conflicts, which certifies a caller's
+colouring on the symmetric shadow digraph and reads each arc against its
+translates across the edges of other colours.
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ def _coordinatize(g: Digraph, coloring: EdgeColoring):
     return positions, tuple(tuple(map(dict.__getitem__, ranks, c)) for c in labels)
 
 
-def _symmetric(ug: UndirectedGraph) -> Digraph:
-    """ug with both arcs on each edge: a digraph with no misoriented square."""
-    return Digraph(ug.n, [*ug.edges, *((v, u) for u, v in ug.edges)])
+def _symmetric(n: int, pairs) -> Digraph:
+    """Both arcs on every pair: a digraph with no misoriented square."""
+    return Digraph(n, [*pairs, *((v, u) for u, v in pairs)])
 
 
 def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
@@ -160,23 +162,22 @@ def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
         raise NotConnectedError("Cartesian PFD requires a connected graph")
     if ug.n <= 1:
         return EdgeColoring({}, 0)
-    return _closure_coloring(_symmetric(ug))
+    return _closure_coloring(_symmetric(ug.n, ug.edges))
 
 
-def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
-    """The placement (positions, coords) of a product coloring of ug.
+def _check_coloring(g: Digraph, coloring: EdgeColoring):
+    """The placement (positions, coords) of a product coloring of g's shadow.
 
-    Raises InvalidColoringError unless ug has a vertex, the coloring covers
-    its edges with colours in 0..count-1, is_cartesian_product certifies its
-    placement on the symmetric shadow, and every i-edge moves coordinate i.
-    Under the certificate an edge moves one coordinate alone, so with the
-    colour rule the edges of the layers along i are the i-edges: the colour
-    classes are the factors of ug."""
-    if coloring.colors.keys() != ug.edge_set:
+    Raises InvalidColoringError unless g has a vertex, the coloring covers
+    the shadow's edges with colours in 0..count-1, is_cartesian_product
+    certifies its placement on the symmetric shadow, and every i-edge moves
+    coordinate i.  As an edge then moves one coordinate alone, the colour
+    classes are the edges of the layers: the factors of the shadow."""
+    shadow = _symmetric(g.n, g.arcs)
+    if coloring.colors.keys() != {(u, v) for u, v in shadow.arcs if u < v}:
         raise InvalidColoringError("coloring does not cover the underlying edges")
-    if not ug.n or not all(0 <= i < coloring.count for i in coloring.colors.values()):
+    if not g.n or not all(0 <= i < coloring.count for i in coloring.colors.values()):
         raise InvalidColoringError("coloring is not a product coloring")
-    shadow = _symmetric(ug)
     positions, coords = _coordinatize(shadow, coloring)
     try:
         layers = _layers(shadow, coords, list(map(len, positions)), 0)
@@ -188,36 +189,28 @@ def _check_coloring(ug: UndirectedGraph, coloring: EdgeColoring):
     raise InvalidColoringError("coloring is not a product coloring")
 
 
-def _conflicts(g: Digraph, ug: UndirectedGraph, coloring: EdgeColoring, coords):
-    """Sorted color pairs (i, j) such that some square of i- and j-edges has
-    its two i-edges oriented differently.  Every square is read once, at its
-    least corner v, whose i-neighbour a and j-neighbour b on it place the
-    fourth corner at coordinate j of b and every other coordinate of a."""
-    at = {tuple(c): v for v, c in enumerate(coords)}
+def _conflicts(g: Digraph, coloring: EdgeColoring, coords):
+    """Sorted colour pairs (i, j) such that an arc ua of colour i has no
+    translate wc across some j-edge uw at its tail, j != i.  c has a's
+    coordinates but w's coordinate j: read as base-n digits, c = a + w - u."""
+    pos = [sum(r * g.n**k for k, r in enumerate(c)) for c in coords]
+    at = {p: v for v, p in enumerate(pos)}
     arcs = g.arc_set
     colors = coloring.colors
     conflicts = set()
-    for v in range(ug.n):
-        up = [(a, colors[(v, a)]) for a in ug.adj[v] if a > v]
-        for k, (a, i) in enumerate(up):
-            for b, j in up[k + 1 :]:
-                if i == j:
-                    continue
-                c = at[(*coords[a][:j], coords[b][j], *coords[a][j + 1 :])]
-                if c < v:
-                    continue
-                if ((v, a) in arcs) != ((b, c) in arcs) or ((a, v) in arcs) != ((c, b) in arcs):
+    for u in range(g.n):
+        nbrs = [(w, colors[(u, w) if u < w else (w, u)]) for w in g.out_adj[u] + g.in_adj[u]]
+        for a, i in nbrs[: len(g.out_adj[u])]:
+            for w, j in nbrs:
+                if j != i and (w, at[pos[a] + pos[w] - pos[u]]) not in arcs:
                     conflicts.add((i, j))
-                if ((v, b) in arcs) != ((a, c) in arcs) or ((b, v) in arcs) != ((c, a) in arcs):
-                    conflicts.add((j, i))
     return sorted(conflicts)
 
 
 def direction_conflicts(g: Digraph, coloring: EdgeColoring) -> list[tuple[int, int]]:
     """Color pairs (i, j) such that two copies of factor i adjacent along a
     j-edge differ as digraphs under the coordinate bijection."""
-    ug = g.underlying_undirected()
-    return _conflicts(g, ug, coloring, _check_coloring(ug, coloring)[1])
+    return _conflicts(g, coloring, _check_coloring(g, coloring)[1])
 
 
 def cartesian_pfd(g: Digraph) -> Factorization:

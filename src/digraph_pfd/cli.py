@@ -126,10 +126,10 @@ def _cmd_iso(args) -> int:
 
 
 def _range_spec(spec: str) -> str:
-    """argparse type of `gen --n`: N or LO:HI, decimal integers, LO <= HI."""
+    """argparse type of `gen --n`: N or LO:HI, ASCII digits, LO <= HI."""
     lo, sep, hi = spec.partition(":")
     hi = hi if sep else lo
-    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+    if not (all(s.isascii() and s.isdigit() for s in (lo, hi)) and int(lo) <= int(hi)):
         raise argparse.ArgumentTypeError(f"expected N or LO:HI with LO <= HI, got {spec!r}")
     return spec
 

@@ -8,6 +8,7 @@ round-trip exactly on normalized text.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .digraph import Arc, Digraph
@@ -26,6 +27,10 @@ _DOT_PALETTE = (
     "cadetblue",
 )
 
+# An integer of the format: an optional minus sign and ASCII digits, nothing
+# else that int() accepts (a plus sign, underscores, non-ASCII digits).
+_INTEGER = re.compile(r"-?[0-9]+")
+
 # Largest vertex count a header may declare; checked before anything is
 # allocated for the graph.
 MAX_VERTICES = 1_000_000
@@ -40,12 +45,9 @@ def parse_edge_list(text: str) -> Digraph:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != 2:
+        if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):
             raise ParseError(f"expected two integers, got {line!r}", line=lineno)
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"expected two integers, got {line!r}", line=lineno)
+        a, b = map(int, fields)
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be non-negative", line=lineno)

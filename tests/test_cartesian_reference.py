@@ -114,7 +114,7 @@ def outcome(check, g, coloring):
 def placement(g, coloring):
     """The placement that _check_coloring accepts, with the coordinates as
     vertex ids of the layers through vertex 0, as the reference gives them."""
-    positions, coords = _check_coloring(g.underlying_undirected(), coloring)
+    positions, coords = _check_coloring(g, coloring)
     return positions, tuple(tuple(positions[i][r] for i, r in enumerate(c)) for c in coords)
 
 

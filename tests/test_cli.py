@@ -120,7 +120,7 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert parse_edge_list(first).is_connected()
 
 
-@pytest.mark.parametrize("spec", ["abc", "3:x", "5:3"])
+@pytest.mark.parametrize("spec", ["abc", "3:x", "5:3", "\u0663", "2:\u0665", "\uff11"])
 def test_gen_rejects_malformed_n_as_usage_error(capsys, spec):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--model", "thin", "--n", spec])

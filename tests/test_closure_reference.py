@@ -23,7 +23,7 @@ from helpers import merge_conflicts, oriented_products, reference_closure_colori
 
 
 def assert_same_closure(ug):
-    assert _closure_coloring(_symmetric(ug)) == reference_closure_coloring(ug)
+    assert _closure_coloring(_symmetric(ug.n, ug.edges)) == reference_closure_coloring(ug)
 
 
 def relabelled(g, seed):
@@ -49,7 +49,7 @@ def test_wheel_w4_is_one_color():
     # (0, 1) has exactly one common neighbour outside N[3], the vertex 4, yet
     # 30 ~ 31 still holds: a chord pair always joins its two edges.
     ug = UndirectedGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
-    coloring = _closure_coloring(_symmetric(ug))
+    coloring = _closure_coloring(_symmetric(ug.n, ug.edges))
     assert coloring.count == 1
     assert coloring == reference_closure_coloring(ug)
 
@@ -94,6 +94,6 @@ def test_oriented_products():
     for g in oriented_products(60, seed=8):
         assert_same_oriented_closure(g)
         ug = g.underlying_undirected()
-        oriented, undirected = _closure_coloring(g), _closure_coloring(_symmetric(ug))
+        oriented, undirected = _closure_coloring(g), _closure_coloring(_symmetric(ug.n, ug.edges))
         merged += oriented.count < undirected.count
     assert merged >= 30

@@ -40,6 +40,17 @@ def test_parse_rejects_bad_tokens():
         parse_edge_list("x y\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_edge_list("2 1\n0 1 2\n")
+    # int() reads these, the format does not: underscores, non-ASCII digits
+    # and a plus sign.
+    cases = [("1_0 0\n", 1), ("\u0663 0\n", 1), ("2 1\n+0 1\n", 2), ("2 1\n0 \uff11\n", 2)]
+    for text, line in cases:
+        with pytest.raises(ParseError, match=f"line {line}: expected two integers"):
+            parse_edge_list(text)
+    # A minus sign is part of the format; negative values fail on their range.
+    with pytest.raises(ParseError, match="line 1: header counts must be non-negative"):
+        parse_edge_list("-1 0\n")
+    with pytest.raises(VertexOutOfRangeError, match="line 2"):
+        parse_edge_list("2 1\n-1 0\n")
 
 
 def test_parse_rejects_missing_header():

@@ -3,8 +3,9 @@ certifies only the result it returns: connectivity searches and product
 certificates counted on a thin strong product, the same product times K2,
 a non-thin prime over a composite quotient, and a Cartesian product.  The
 Cartesian stage reads the digraph it factors and builds no UndirectedGraph
-shadow.  cartesian_pfd places the vertices once per call, also when
-misoriented squares join factors of the shadow."""
+shadow, nor does direction_conflicts on the digraph it checks.
+cartesian_pfd places the vertices once per call, also when misoriented
+squares join factors of the shadow."""
 
 import importlib
 
@@ -83,3 +84,12 @@ def test_cartesian_pfd_places_once(monkeypatch, g):
     _count(monkeypatch, cartesian_pfd_mod, "_coordinatize", counts, "placements")
     cartesian_pfd_mod.cartesian_pfd(g)
     assert counts["placements"] == 1
+
+
+@pytest.mark.parametrize("g", [conflict_square(), cartesian_product([p2(), c3()]).graph])
+def test_direction_conflicts_builds_no_shadow(monkeypatch, g):
+    finest = cartesian_pfd_mod.undirected_cartesian_pfd(g.underlying_undirected())
+    counts = {"shadows": 0}
+    _count(monkeypatch, UndirectedGraph, "__init__", counts, "shadows")
+    cartesian_pfd_mod.direction_conflicts(g, finest)
+    assert counts["shadows"] == 0
