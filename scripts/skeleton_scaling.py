@@ -9,24 +9,28 @@ and the ratio of consecutive times next to the ratio of consecutive arc
 counts.
 
 The second table times cartesian_pfd on directed paths with seeded
-relabelled vertices and on directed hypercubes Q_k (Cartesian powers of the
-single arc).  Each row gives the best wall time of --repeats calls and the
-tracemalloc peak of one more call, counting only that call's allocations.
+relabelled vertices, on directed hypercubes Q_k (Cartesian powers of the
+single arc), and on relabelled out-stars and bidirected stars, whose hub
+has every other vertex as its neighbour.  Each row gives the best wall time
+of --repeats calls and the tracemalloc peak of one more call, counting only
+that call's allocations.
 
 The third table times strong_pfd the same way on bidirected hypercubes Q_k
-and on relabelled strong products of a directed path on 2000 vertices with
-K3 or with the directed path P3.  The cubes are triangle-free, so
-strong-prime, and their skeletons delete no arc, so strong_pfd returns each
-one as its own factor right after the skeleton.  The product with K3 is
-non-thin: strong_pfd factors its quotient, the path, and lifts the
-coordinates back through the neighbourhood classes.
+on relabelled strong products of a directed path on 2000 vertices with
+K3 or with the directed path P3, and on relabelled out-stars times P2.  The
+cubes are triangle-free, so strong-prime, and their skeletons delete no arc,
+so strong_pfd returns each one as its own factor right after the skeleton.
+The product with K3 is non-thin: strong_pfd factors its quotient, the path,
+and lifts the coordinates back through the neighbourhood classes.  The
+skeleton of a star times P2 is the star times P2 under the Cartesian
+product, whose two hubs the Cartesian stage must handle in linear time.
 
 Every timed call is also checked: the skeleton of an arc power is the power
-itself, cartesian_pfd returns a path as its own one factor and Q_k as k
-single arcs, strong_pfd returns a bidirected Q_k as its own one factor, and
-the factors of the path products are a directed path on 2000 vertices and
-K3 (or P3).  A mismatch is reported on stderr and the script exits with
-status 1.
+itself, cartesian_pfd returns a path or a star as its own one factor and
+Q_k as k single arcs, strong_pfd returns a bidirected Q_k as its own one
+factor, the factors of the path products are a directed path on 2000
+vertices and K3 (or P3), and those of a star times P2 are the star and P2.
+A mismatch is reported on stderr and the script exits with status 1.
 
     PYTHONPATH=src python scripts/skeleton_scaling.py --min-k 6 --max-k 12
 """
@@ -51,6 +55,7 @@ PFD_PATHS = (5000, 20000)
 PFD_CUBES = range(9, 13)
 STRONG_CUBES = range(9, 12)
 STRONG_PATH = 2000
+HUBS = (2000, 8000)
 ARC = Digraph(2, [(0, 1)])
 K3 = complete_digraph(3)
 
@@ -71,10 +76,25 @@ def measure(k: int, repeats: int) -> tuple[int, int, float, bool]:
     return g.n, g.arc_count, best, same
 
 
+def relabelled(g: Digraph) -> Digraph:
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    return g.relabel(perm)
+
+
 def relabelled_path(n: int) -> Digraph:
-    perm = list(range(n))
-    random.Random(n).shuffle(perm)
-    return Digraph(n, [(perm[v], perm[v + 1]) for v in range(n - 1)])
+    return relabelled(Digraph(n, [(v, v + 1) for v in range(n - 1)]))
+
+
+def star(n: int, both: bool = False) -> Digraph:
+    """The star on n vertices, its arcs out of hub 0, or both ways."""
+    out = [(0, v) for v in range(1, n)]
+    return Digraph(n, out + [(v, 0) for v in range(1, n)] if both else out)
+
+
+def is_out_star(g: Digraph) -> bool:
+    """One vertex has an arc to every other vertex, and there is no other arc."""
+    return g.arc_count == g.n - 1 and max(map(len, g.out_adj)) == g.n - 1
 
 
 def is_directed_path(g: Digraph, n: int) -> bool:
@@ -85,10 +105,7 @@ def is_directed_path(g: Digraph, n: int) -> bool:
 
 
 def relabelled_path_product(small: Digraph) -> Digraph:
-    g = strong_product([relabelled_path(STRONG_PATH), small]).graph
-    perm = list(range(g.n))
-    random.Random(g.n).shuffle(perm)
-    return g.relabel(perm)
+    return relabelled(strong_product([relabelled_path(STRONG_PATH), small]).graph)
 
 
 def bidirected_cube(k: int) -> Digraph:
@@ -144,6 +161,8 @@ def main() -> None:
     paths = [relabelled_path(n) for n in PFD_PATHS]
     rows = [(f"P{g.n}", g, lambda fs, g=g: fs == (g,)) for g in paths]
     rows += [(f"Q{k}", arc_power(k), lambda fs, k=k: fs == (ARC,) * k) for k in PFD_CUBES]
+    stars = [(kind, relabelled(star(n, kind == "bi"))) for n in HUBS for kind in ("out", "bi")]
+    rows += [(f"{kind}star{g.n}", g, lambda fs, g=g: fs == (g,)) for kind, g in stars]
     cubes = [bidirected_cube(k) for k in STRONG_CUBES]
     strong_rows = [(f"Q{k}", g, lambda fs, g=g: fs == (g,)) for k, g in zip(STRONG_CUBES, cubes)]
     p3 = Digraph(3, [(0, 1), (1, 2)])
@@ -159,6 +178,14 @@ def main() -> None:
             lambda fs: sorted(f.n for f in fs) == [3, STRONG_PATH]
             and all(is_directed_path(f, f.n) for f in fs),
         ),
+    ]
+    strong_rows += [
+        (
+            f"star{n // 2}xP2",
+            relabelled(strong_product([star(n // 2), ARC]).graph),
+            lambda fs, n=n: sorted(f.n for f in fs) == [2, n // 2] and all(map(is_out_star, fs)),
+        )
+        for n in HUBS
     ]
     for fn, table in ((cartesian_pfd, rows), (strong_pfd, strong_rows)):
         print()

@@ -6,17 +6,20 @@ chordless square, (b) two edges va, vb at a vertex v unless (a, b) spans
 exactly one chordless square, and (c) the two edges at a corner of every
 misoriented chordless square, where an edge and its opposite edge carry
 different arcs: the two copies of a factor that such a square joins differ
-as digraphs, so its edges lie in one factor.  Each square is read once, at
-its least corner, and there are no merge rounds.  One breadth-first search
-over the digraph places the vertices, the layers through vertex 0 are read
-off as the factors, and is_cartesian_product certifies the placement.  It
-is the only check, also in direction_conflicts, which certifies a caller's
-colouring on the symmetric shadow digraph and reads each arc against its
-translates across the edges of other colours.
+as digraphs, so its edges lie in one factor.  Each square is listed once,
+from its highest-ranked corner in degree order, and there are no merge
+rounds: on a shadow with m edges, arboricity a and s chordless squares the
+closure costs O(a·m + s).  One breadth-first search over the digraph
+places the vertices, the layers through vertex 0 are read off as the
+factors, and is_cartesian_product certifies the placement.  It is the only
+check, also in direction_conflicts, which certifies a caller's colouring on
+the symmetric shadow digraph and reads each arc against its translates
+across the edges of other colours.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
@@ -59,46 +62,69 @@ class EdgeColoring:
 def _closure_coloring(g: Digraph) -> EdgeColoring:
     """Equivalence closure of the chordless-square relation of g's shadow.
 
-    At v, mid[x] lists the neighbours of v adjacent to x, for x outside N[v];
-    a non-adjacent pair (a, b) in mid[x] is the chordless square v-a-x-b,
-    whose unions are made at its least corner only: va ~ bx and vb ~ ax, and
-    va ~ vb when va and bx, or vb and ax, carry different arcs.  va ~ vb also
-    unless (a, b) spans exactly one chordless square."""
-    adj = [frozenset(out + into) for out, into in zip(g.out_adj, g.in_adj)]
+    Vertices are ranked by degree, highest first, ties by id.  At v, mid[x]
+    lists the neighbours of v adjacent to x, both ranked below v, for x
+    outside N[v]: a non-adjacent pair (a, b) in mid[x] is the chordless
+    square v-a-x-b, listed only from this highest-ranked corner (Chiba and
+    Nishizeki's C4 listing).  Its unions are made here: va ~ bx, vb ~ ax, and
+    va ~ vb when va and bx, or vb and ax, carry different arcs, a verdict
+    that is the same at every corner.  It credits (a, b) to v and x and
+    (v, x) to a and b, so each vertex holds all its credits when its turn
+    comes.  va ~ vb also unless (a, b) is in E1, the pairs credited once:
+    every neighbour outside the E1 partners of the pivot, the one with
+    fewest, joins it, and each partner joins every neighbour outside its
+    own, in O(deg + |E1|)."""
+    n = g.n
     edges = sorted({(u, v) if u < v else (v, u) for u, v in g.arcs})
     arcs = g.arc_set
-    eid: list[dict[int, int]] = [{} for _ in range(g.n)]
+    eid: list[dict[int, int]] = [{} for _ in range(n)]  # ascending keys: the neighbours
     for k, (u, w) in enumerate(edges):
         eid[u][w] = eid[w][u] = k
     parent = list(range(len(edges)))
+    order = sorted(range(n), key=lambda v: -len(eid[v]))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    credits: dict[int, list[int]] = {}  # pair keys a * n + b, a < b, of vertices not yet reached
 
-    for v in range(g.n):
-        nbrs = sorted(adj[v])
-        closed = adj[v] | {v}
+    for v in order:
+        ev, rv = eid[v], rank[v]
         mid: dict[int, list[int]] = {}
-        for a in nbrs:
-            for x in adj[a] - closed:
-                mid.setdefault(x, []).append(a)
-        ev = eid[v]
-        squares: dict[Edge, int] = {}
+        for a in ev:
+            if rank[a] > rv:
+                for x in eid[a]:
+                    if rank[x] > rv and x not in ev:
+                        mid.setdefault(x, []).append(a)
+        pairs = credits.pop(v, [])
         for x, corners in mid.items():
-            least = v < x and v < corners[0]
+            ex, vx = eid[x], v * n + x if v < x else x * n + v
             for a, b in combinations(corners, 2):
-                if b in adj[a]:
+                if b in eid[a]:
                     continue
-                squares[a, b] = squares.get((a, b), 0) + 1
-                if least:
-                    _union(parent, ev[a], eid[b][x])
-                    _union(parent, ev[b], eid[a][x])
-                    if ((v, a) in arcs, (a, v) in arcs, (v, b) in arcs, (b, v) in arcs) != (
-                        (b, x) in arcs, (x, b) in arcs, (a, x) in arcs, (x, a) in arcs
-                    ):
-                        _union(parent, ev[a], ev[b])
-        if len(squares) == sum(squares.values()) == len(nbrs) * (len(nbrs) - 1) // 2:
+                pairs.append(ab := a * n + b)
+                credits.setdefault(x, []).append(ab)
+                credits.setdefault(a, []).append(vx)
+                credits.setdefault(b, []).append(vx)
+                _union(parent, ev[a], ex[b])
+                _union(parent, ev[b], ex[a])
+                if ((v, a) in arcs, (a, v) in arcs, (v, b) in arcs, (b, v) in arcs) != (
+                    (b, x) in arcs, (x, b) in arcs, (a, x) in arcs, (x, a) in arcs
+                ):
+                    _union(parent, ev[a], ev[b])
+        if len(pairs) == len(ev) * (len(ev) - 1) // 2 == len(set(pairs)):
             continue  # every pair of neighbours spans exactly one square
-        for a, b in combinations(nbrs, 2):
-            if squares.get((a, b)) != 1:
-                _union(parent, ev[a], ev[b])
+        partners: dict[int, set[int]] = {}
+        for k, times in Counter(pairs).items():
+            if times == 1:
+                a, b = divmod(k, n)
+                partners.setdefault(a, set()).add(b)
+                partners.setdefault(b, set()).add(a)
+        pivot = min(ev, key=lambda a: len(partners.get(a, ())))
+        for q in (pivot, *partners.get(pivot, ())):
+            near = partners.get(q, ())
+            for a in ev:
+                if a != q and a not in near:
+                    _union(parent, ev[q], ev[a])
 
     roots = [_find(parent, i) for i in range(len(edges))]
     relabel = {r: i for i, r in enumerate(sorted(set(roots)))}
@@ -169,14 +195,16 @@ def _check_coloring(g: Digraph, coloring: EdgeColoring):
     """The placement (positions, coords) of a product coloring of g's shadow.
 
     Raises InvalidColoringError unless g has a vertex, the coloring covers
-    the shadow's edges with colours in 0..count-1, is_cartesian_product
+    the shadow's edges with int colours in 0..count-1, is_cartesian_product
     certifies its placement on the symmetric shadow, and every i-edge moves
     coordinate i.  As an edge then moves one coordinate alone, the colour
     classes are the edges of the layers: the factors of the shadow."""
     shadow = _symmetric(g.n, g.arcs)
     if coloring.colors.keys() != {(u, v) for u, v in shadow.arcs if u < v}:
         raise InvalidColoringError("coloring does not cover the underlying edges")
-    if not g.n or not all(0 <= i < coloring.count for i in coloring.colors.values()):
+    colors, count = coloring.colors.values(), coloring.count
+    ints = isinstance(count, int) and all(isinstance(i, int) for i in colors)
+    if not g.n or not ints or not all(0 <= i < count for i in colors):
         raise InvalidColoringError("coloring is not a product coloring")
     positions, coords = _coordinatize(shadow, coloring)
     try:

@@ -4,6 +4,7 @@ from digraph_pfd import (
     Digraph,
     canonical_form,
     cartesian_product,
+    cartesian_skeleton,
     complete_digraph,
     s_partition,
     strong_product,
@@ -93,6 +94,51 @@ def oriented_products(count, seed):
         shapes = [undirected_shape(rng) for _ in range(2 + rng.below(2))]
         graphs.append(random_orientation(cartesian_product(shapes).graph, rng))
     return graphs
+
+
+def relabelled(g: Digraph, seed: int) -> Digraph:
+    """g under a permutation of its vertices shuffled by SplitMix64(seed)."""
+    perm = list(range(g.n))
+    SplitMix64(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def star(n: int, kind: str) -> Digraph:
+    """Hub 0 and n - 1 leaves, with arcs out of the hub, into it, or both."""
+    out = [(0, v) for v in range(1, n)]
+    into = [(v, 0) for v in range(1, n)]
+    return Digraph(n, {"out": out, "in": into, "both": out + into}[kind])
+
+
+def broom(n: int) -> Digraph:
+    """A directed path 0 -> ... -> n - 1 whose end is the hub of a star on n
+    more vertices, its arcs alternately out of the hub and into it."""
+    path = [(v, v + 1) for v in range(n - 1)]
+    bristles = [(n - 1, w) if w % 2 else (w, n - 1) for w in range(n, 2 * n)]
+    return Digraph(2 * n, path + bristles)
+
+
+def wheel(n: int) -> Digraph:
+    """Hub 0 with an arc to each vertex of the directed cycle 1 -> ... -> n -> 1."""
+    spokes = [(0, v) for v in range(1, n + 1)]
+    return Digraph(n + 1, spokes + [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def hub_shapes(sizes):
+    """(label, digraph) for hub shapes: stars of each kind on n vertices and
+    the Cartesian skeletons of those stars times P2 under the strong product,
+    brooms on 2n vertices and wheels on n + 1, for each n in sizes, and
+    K_{2,n} oriented hub 0 -> leaf -> hub 1 for n <= 6."""
+    for n in sizes:
+        for kind in ("out", "in", "both"):
+            yield f"{kind}star{n}", star(n, kind)
+            g = strong_product([star(n, kind), p2()]).graph
+            yield f"{kind}star{n}xP2 skeleton", cartesian_skeleton(g).skeleton
+        yield f"broom{n}", broom(n)
+        yield f"wheel{n}", wheel(n)
+    for n in range(1, 7):
+        leaves = range(2, n + 2)
+        yield f"K2,{n}", Digraph(n + 2, [(0, v) for v in leaves] + [(v, 1) for v in leaves])
 
 
 def converse(g: Digraph) -> Digraph:

@@ -13,13 +13,14 @@ from digraph_pfd import (
     complete_digraph,
     direction_conflicts,
     reconstruct_cartesian,
+    strong_pfd,
+    strong_product,
     undirected_cartesian_pfd,
 )
 from digraph_pfd.cartesian_pfd import EdgeColoring
 from digraph_pfd.errors import InvalidColoringError, NotConnectedError
-from digraph_pfd.oracle import SplitMix64
 
-from helpers import c3, conflict_square, factor_forms, k1, p2, two_k2
+from helpers import c3, conflict_square, factor_forms, k1, p2, relabelled, star, two_k2
 from strategies import connected_digraphs, graph_with_permutation
 
 
@@ -132,8 +133,15 @@ def test_disconnected_coloring_rejected():
 
 @pytest.mark.parametrize(
     "colors, count",
-    [({(0, 1): 5}, 2), ({(0, 1): 0}, 0), ({(0, 1): -1}, 1), ({(0, 1): 1}, 1)],
-    ids=["above_count", "zero_count", "negative", "equal_to_count"],
+    [
+        ({(0, 1): 5}, 2),
+        ({(0, 1): 0}, 0),
+        ({(0, 1): -1}, 1),
+        ({(0, 1): 1}, 1),
+        ({(0, 1): 0.0}, 1),
+        ({(0, 1): 0}, 1.0),
+    ],
+    ids=["above_count", "zero_count", "negative", "equal_to_count", "not_an_int", "count_not_an_int"],
 )
 def test_color_outside_the_count_rejected(colors, count):
     with pytest.raises(InvalidColoringError, match="not a product coloring"):
@@ -215,16 +223,14 @@ def test_digraph_colors_refine_undirected_colors(a, b):
 
 
 def _relabelled_path(n, seed):
-    perm = list(range(n))
-    SplitMix64(seed).shuffle(perm)
-    return Digraph(n, [(perm[v], perm[v + 1]) for v in range(n - 1)])
+    return relabelled(Digraph(n, [(v, v + 1) for v in range(n - 1)]), seed)
 
 
-def _best_seconds(g, repeats=3):
+def _best_seconds(g, repeats=3, factorize=cartesian_pfd):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        cartesian_pfd(g)
+        factorize(g)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -244,3 +250,27 @@ def test_near_linear_on_relabelled_paths():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_near_linear_on_relabelled_hubs():
+    # A hub's neighbours span few squares, so the closure must list squares
+    # from ranked wedges and join the hub's pairs through one pivot: walking
+    # every wedge or every pair at the hub is quadratic.  Out-, in- and
+    # bidirected stars go through cartesian_pfd, and a star times P2 through
+    # strong_pfd, whose skeleton is the star times P2 under the Cartesian
+    # product.
+    pairs = [(cartesian_pfd, star(500, kind), star(4000, kind)) for kind in ("out", "in", "both")]
+    star_p2 = [strong_product([star(n // 2, "out"), p2()]).graph for n in (500, 4000)]
+    pairs.append((strong_pfd, *star_p2))
+    for seed, (factorize, small, large) in enumerate(pairs):
+        small, large = relabelled(small, 2 * seed), relabelled(large, 2 * seed + 1)
+        small_s = large_s = float("inf")
+        for _ in range(3):  # interleaved, so that a busy spell of the host slows both sizes
+            small_s = min(small_s, _best_seconds(small, 2, factorize))
+            large_s = min(large_s, _best_seconds(large, 1, factorize))
+        time_ratio = large_s / small_s
+        arc_ratio = large.arc_count / small.arc_count
+        assert time_ratio <= 3 * arc_ratio, (
+            f"{factorize.__name__} on {large.n} vertices: time ratio {time_ratio:.1f}"
+            f" exceeds 3x arc ratio {arc_ratio:.1f}"
+        )

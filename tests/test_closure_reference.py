@@ -1,9 +1,10 @@
-"""The least-corner square closure gives the same EdgeColoring as the
-reference closure in helpers.py, which reads every square at all four
-corners: on every connected labelled graph with at most 5 vertices, and on
-the shadows of Cartesian skeletons and of benchmark-style products.  With
-the arcs of a digraph it gives the reference closure coarsened by direction
-conflicts until none is left."""
+"""The square closure, which lists each chordless square once from its
+highest-ranked corner, gives the same EdgeColoring as the reference closure
+in helpers.py, which reads every square at all four corners: on every
+connected labelled graph with at most 5 vertices, on the shadows of
+Cartesian skeletons and of benchmark-style products, and on hub shapes.
+With the arcs of a digraph it gives the reference closure coarsened by
+direction conflicts until none is left."""
 
 from itertools import combinations
 
@@ -13,23 +14,25 @@ from digraph_pfd import (
     cartesian_product,
     cartesian_skeleton,
     enumerate_connected_digraphs,
+    random_connected_digraph,
     random_thin_digraph,
     strong_product,
 )
 from digraph_pfd.cartesian_pfd import _closure_coloring, _symmetric
 from digraph_pfd.oracle import SplitMix64
 
-from helpers import merge_conflicts, oriented_products, reference_closure_coloring
+from helpers import (
+    hub_shapes,
+    merge_conflicts,
+    oriented_products,
+    random_orientation,
+    reference_closure_coloring,
+    relabelled,
+)
 
 
 def assert_same_closure(ug):
     assert _closure_coloring(_symmetric(ug.n, ug.edges)) == reference_closure_coloring(ug)
-
-
-def relabelled(g, seed):
-    perm = list(range(g.n))
-    SplitMix64(seed).shuffle(perm)
-    return g.relabel(perm)
 
 
 def test_every_connected_graph_up_to_five_vertices():
@@ -97,3 +100,21 @@ def test_oriented_products():
         oriented, undirected = _closure_coloring(g), _closure_coloring(_symmetric(ug.n, ug.edges))
         merged += oriented.count < undirected.count
     assert merged >= 30
+
+
+def test_hub_shapes():
+    # A hub has many neighbours and few squares: the ranked listing credits
+    # the squares to corners it does not list them from, and the fallback
+    # joins the pairs of a hub through one pivot.  Each shape is relabelled
+    # and taken with its own arcs, with a seeded orientation of its shadow,
+    # and, up to 8 vertices, times a small random digraph.
+    for i, (_, g) in enumerate(hub_shapes((3, 5, 8, 13, 20))):
+        rng = SplitMix64(9000 + i)
+        graphs = [g, random_orientation(g, rng)]
+        if g.n <= 8:
+            small = random_connected_digraph((2, 4), rng.next64())
+            graphs.append(cartesian_product([g, small]).graph)
+        for h in graphs:
+            h = relabelled(h, rng.next64())
+            assert_same_closure(h.underlying_undirected())
+            assert_same_oriented_closure(h)

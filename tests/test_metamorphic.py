@@ -16,7 +16,7 @@ from digraph_pfd import (
 )
 from digraph_pfd.oracle import SplitMix64
 
-from helpers import converse, factor_forms, random_orientation, undirected_shape
+from helpers import converse, factor_forms, hub_shapes, random_orientation, undirected_shape
 
 
 @pytest.mark.parametrize(
@@ -71,28 +71,39 @@ def small_digraph(rng):
     return random_connected_digraph((5, 8), rng.next64())
 
 
+def assert_relabellings_agree(g, rng, count=4):
+    strong = factor_forms(strong_pfd(g).factors)
+    cartesian = factor_forms(cartesian_pfd(g).factors)
+    skeleton = cartesian_skeleton(g).skeleton if is_thin(g) else None
+    for _ in range(count):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        assert factor_forms(strong_pfd(h).factors) == strong, (g, perm)
+        assert factor_forms(cartesian_pfd(h).factors) == cartesian, (g, perm)
+        if skeleton is not None:
+            assert cartesian_skeleton(h).skeleton == skeleton.relabel(perm), (g, perm)
+
+
 def test_seeded_relabellings_beyond_four_vertices():
     # Above four vertices not every labelling can be tried, so each input
     # gets seeded relabellings instead: connected digraphs on 5-8 vertices,
     # half of them oriented grids, and strong or Cartesian products of two:
-    # 200 relabellings in all.
+    # 200 relabellings in all.  Hub shapes follow, each with its own arcs,
+    # with a seeded orientation of its shadow and times a small random
+    # digraph: the degree ranking and the hub's pivot then hang on labels.
     for s in range(50):
         rng = SplitMix64(5300 + s)
         g = small_digraph(rng)
         if s % 5 >= 3:
             product = strong_product if s % 5 == 3 else cartesian_product
             g = product([g, small_digraph(rng)]).graph
-        strong = factor_forms(strong_pfd(g).factors)
-        cartesian = factor_forms(cartesian_pfd(g).factors)
-        skeleton = cartesian_skeleton(g).skeleton if is_thin(g) else None
-        for _ in range(4):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            h = g.relabel(perm)
-            assert factor_forms(strong_pfd(h).factors) == strong, (g, perm)
-            assert factor_forms(cartesian_pfd(h).factors) == cartesian, (g, perm)
-            if skeleton is not None:
-                assert cartesian_skeleton(h).skeleton == skeleton.relabel(perm), (g, perm)
+        assert_relabellings_agree(g, rng)
+    for i, (_, g) in enumerate(hub_shapes((3, 4, 5))):
+        rng = SplitMix64(5400 + i)
+        small = random_connected_digraph((2, 4), rng.next64())
+        for h in (g, random_orientation(g, rng), cartesian_product([g, small]).graph):
+            assert_relabellings_agree(h, rng, count=2)
 
 
 @pytest.mark.parametrize(
