@@ -100,9 +100,7 @@ def main() -> None:
             outcome(lambda: strong_pfd(g)),
             outcome(lambda: cartesian_pfd(g)),
             outcome(lambda: cartesian_skeleton(g).removed),
-            outcome(
-                lambda: direction_conflicts(g, undirected_cartesian_pfd(g.underlying_undirected()))
-            ),
+            outcome(lambda: direction_conflicts(g, undirected_cartesian_pfd(g))),
             sep="\t",
         )
 

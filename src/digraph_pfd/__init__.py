@@ -13,7 +13,7 @@ from .cartesian_pfd import (
     direction_conflicts,
     undirected_cartesian_pfd,
 )
-from .digraph import Digraph, UndirectedGraph, complete_digraph
+from .digraph import Digraph, complete_digraph
 from .factorization import (
     Factorization,
     is_cartesian_product,
@@ -63,7 +63,6 @@ __all__ = [
     "QuotientWithMultiplicity",
     "SkeletonResult",
     "SplitMix64",
-    "UndirectedGraph",
     "blowup",
     "brute_force_strong_pfd",
     "canonical_form",

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import prod
 from typing import Mapping
 
-from .digraph import Digraph, UndirectedGraph
+from .digraph import Digraph
 from .errors import InvalidColoringError, NotConnectedError, ReconstructionError
 from .errors import VertexOutOfRangeError
 from .factorization import Factorization, is_cartesian_product
@@ -176,19 +176,19 @@ def _coordinatize(g: Digraph, coloring: EdgeColoring):
     return positions, tuple(tuple(map(dict.__getitem__, ranks, c)) for c in labels)
 
 
-def _symmetric(n: int, pairs) -> Digraph:
-    """Both arcs on every pair: a digraph with no misoriented square."""
-    return Digraph(n, [*pairs, *((v, u) for u, v in pairs)])
+def _symmetric(g: Digraph) -> Digraph:
+    """g's shadow as a digraph: both arcs on every edge, so no misoriented
+    square."""
+    return Digraph(g.n, [*g.arcs, *((v, u) for u, v in g.arcs)])
 
 
-def undirected_cartesian_pfd(ug: UndirectedGraph) -> EdgeColoring:
-    """Finest product coloring of a connected undirected graph: color classes
-    correspond to its Cartesian prime factors."""
-    if not ug.is_connected():
+def undirected_cartesian_pfd(g: Digraph) -> EdgeColoring:
+    """Finest product coloring of a connected digraph's shadow, whatever the
+    arcs' directions: the color classes are the shadow's Cartesian prime
+    factors."""
+    if not g.is_connected():
         raise NotConnectedError("Cartesian PFD requires a connected graph")
-    if ug.n <= 1:
-        return EdgeColoring({}, 0)
-    return _closure_coloring(_symmetric(ug.n, ug.edges))
+    return _closure_coloring(_symmetric(g))
 
 
 def _check_coloring(g: Digraph, coloring: EdgeColoring):
@@ -199,7 +199,7 @@ def _check_coloring(g: Digraph, coloring: EdgeColoring):
     certifies its placement on the symmetric shadow, and every i-edge moves
     coordinate i.  As an edge then moves one coordinate alone, the colour
     classes are the edges of the layers: the factors of the shadow."""
-    shadow = _symmetric(g.n, g.arcs)
+    shadow = _symmetric(g)
     if coloring.colors.keys() != {(u, v) for u, v in shadow.arcs if u < v}:
         raise InvalidColoringError("coloring does not cover the underlying edges")
     colors, count = coloring.colors.values(), coloring.count

@@ -66,12 +66,8 @@ def _json_factorization(g: Digraph, f: Factorization) -> str:
 def _cmd_product(args) -> int:
     factors = [_read_graph(p) for p in args.graphs]
     cg = strong_product(factors) if args.kind == "strong" else cartesian_product(factors)
-    text = serialize_edge_list(cg.graph)
-    coord_lines = [
-        f"# coord {v}: " + ",".join(str(c) for c in cg.coords[v])
-        for v in range(cg.graph.n)
-    ]
-    _write_output(text + "\n".join(coord_lines) + "\n", args.output)
+    coord_lines = (f"# coord {v}: {','.join(map(str, c))}\n" for v, c in enumerate(cg.coords))
+    _write_output(serialize_edge_list(cg.graph) + "".join(coord_lines), args.output)
     return 0
 
 

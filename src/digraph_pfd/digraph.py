@@ -1,4 +1,5 @@
-"""Core digraph value type.
+"""Core digraph value type, the package's only graph type: an undirected
+graph is the digraph with both arcs on every edge.
 
 Vertices are dense integer ids 0..n-1 and every graph is immutable after
 construction.  Closed neighborhoods (the vertex itself plus its successors,
@@ -26,29 +27,6 @@ def _check_endpoint(v: int, n: int) -> None:
 
 def _closed_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sum(1 << w for w in nbrs) | 1 << v for v, nbrs in enumerate(adj))
-
-
-def _reaches_all(n: int, *adjs: Sequence[Iterable[int]]) -> bool:
-    """True iff a search from vertex 0 along the union of the adjacency
-    lists reaches all n vertices; it stops as soon as the last one is
-    found, so a dense input is not scanned to its end."""
-    if n <= 1:
-        return True
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for adj in adjs:
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    if count == n:
-                        return True
-                    queue.append(w)
-    return False
 
 
 class Digraph:
@@ -122,11 +100,27 @@ class Digraph:
         return max(self.degree(v) for v in range(self.n))
 
     def is_connected(self) -> bool:
-        """Weak connectivity: the underlying undirected graph is connected."""
-        return _reaches_all(self.n, self.out_adj, self.in_adj)
-
-    def underlying_undirected(self) -> "UndirectedGraph":
-        return UndirectedGraph(self.n, {(min(u, v), max(u, v)) for u, v in self.arcs})
+        """Weak connectivity: a search from vertex 0 along arcs of either
+        direction reaches all n vertices.  It stops as soon as the last one
+        is found, so a dense input is not scanned to its end."""
+        n, adjs = self.n, (self.out_adj, self.in_adj)
+        if n <= 1:
+            return True
+        seen = bytearray(n)
+        seen[0] = 1
+        queue = deque([0])
+        count = 1
+        while queue:
+            v = queue.popleft()
+            for adj in adjs:
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        count += 1
+                        if count == n:
+                            return True
+                        queue.append(w)
+        return False
 
     def relabel(self, perm: Sequence[int]) -> "Digraph":
         """Return the image of this graph under the permutation v -> perm[v]."""
@@ -144,49 +138,6 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={list(self.arcs)!r})"
-
-
-class UndirectedGraph:
-    """Immutable loop-free undirected graph; the shadow of a digraph."""
-
-    __slots__ = ("n", "edges", "edge_set", "adj")
-
-    def __init__(self, n: int, edges: Iterable[Arc] = ()):
-        if n < 0:
-            raise VertexOutOfRangeError("vertex count must be non-negative")
-        edge_set = set()
-        for u, v in edges:
-            if u == v:
-                raise LoopArcError(f"loop edge ({u}, {v}) not allowed")
-            _check_endpoint(u, n)
-            _check_endpoint(v, n)
-            edge_set.add((min(u, v), max(u, v)))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edge_set:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self.edges: tuple[Arc, ...] = tuple(sorted(edge_set))
-        self.edge_set = frozenset(edge_set)
-        self.adj = tuple(frozenset(s) for s in adj)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def is_connected(self) -> bool:
-        return _reaches_all(self.n, self.adj)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UndirectedGraph):
-            return NotImplemented
-        return self.n == other.n and self.edge_set == other.edge_set
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edge_set))
-
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(n={self.n}, edges={list(self.edges)!r})"
 
 
 def complete_digraph(n: int) -> Digraph:

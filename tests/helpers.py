@@ -72,10 +72,21 @@ def undirected_shape(rng):
     return Digraph(n, edges + [(v, u) for u, v in edges])
 
 
+def shadow(g):
+    """(edges, adj) of g's shadow, read off its arcs: the sorted edges (u, v)
+    with u < v and the set of neighbours of each vertex."""
+    edges = sorted({(u, v) if u < v else (v, u) for u, v in g.arcs})
+    adj = [set() for _ in range(g.n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return edges, adj
+
+
 def random_orientation(g, rng):
     """The shadow of g with each edge given one arc or both, drawn from rng."""
     arcs = []
-    for u, v in g.underlying_undirected().edges:
+    for u, v in shadow(g)[0]:
         state = 1 + rng.below(3)  # bit 0: u -> v, bit 1: v -> u
         if state & 1:
             arcs.append((u, v))
@@ -209,28 +220,28 @@ def merge_colors(coloring, pairs):
     return EdgeColoring(colors, len(order))
 
 
-def reference_closure_coloring(ug):
-    """Equivalence closure of the chordless-square relation, read at every
-    corner: for each pair (a, b) of neighbours of v, va ~ vb unless a and b
-    are non-adjacent with exactly one common neighbour x outside N[v], and
-    va ~ bx, vb ~ ax for every such x."""
-    edges = ug.edges
+def reference_closure_coloring(g):
+    """Equivalence closure of the chordless-square relation of g's shadow,
+    read at every corner: for each pair (a, b) of neighbours of v, va ~ vb
+    unless a and b are non-adjacent with exactly one common neighbour x
+    outside N[v], and va ~ bx, vb ~ ax for every such x."""
+    edges, adj = shadow(g)
     eidx = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
 
     def edge(a, b):
         return eidx[(a, b) if a < b else (b, a)]
 
-    for v in range(ug.n):
-        nbrs = sorted(ug.adj[v])
+    for v in range(g.n):
+        nbrs = sorted(adj[v])
         for ai in range(len(nbrs)):
             for bi in range(ai + 1, len(nbrs)):
                 a, b = nbrs[ai], nbrs[bi]
-                if a in ug.adj[b]:
+                if a in adj[b]:
                     # The chord ab rules out any chordless square on (va, vb).
                     _union(parent, edge(v, a), edge(v, b))
                     continue
-                fourth = sorted((ug.adj[a] & ug.adj[b]) - ug.adj[v] - {v})
+                fourth = sorted((adj[a] & adj[b]) - adj[v] - {v})
                 if len(fourth) != 1:
                     _union(parent, edge(v, a), edge(v, b))
                 for x in fourth:
@@ -244,12 +255,12 @@ def reference_closure_coloring(ug):
     )
 
 
-def reference_coordinatize(ug, coloring):
+def reference_coordinatize(g, coloring):
     """(positions, coords, factor_edges) with coords and factor edges as
     vertex ids of the layers through vertex 0, or None; the coloring is
     accepted when the product edges it predicts, built in O(n * |E_i|),
-    equal the edges of ug."""
-    n = ug.n
+    equal the edges of g's shadow."""
+    n = g.n
     count = coloring.count
     by_color = [[] for _ in range(count)]
     for e, i in coloring.colors.items():
@@ -307,16 +318,15 @@ def reference_coordinatize(ug, coloring):
                 else:
                     continue
                 expected.add((min(v, w), max(v, w)))
-    if expected != ug.edge_set:
+    if expected != set(shadow(g)[0]):
         return None
     return positions, coord_tuples, factor_edges
 
 
 def reference_placement(g, coloring):
-    ug = g.underlying_undirected()
-    if set(coloring.colors) != set(ug.edges):
+    if set(coloring.colors) != set(shadow(g)[0]):
         raise InvalidColoringError("coloring does not cover the underlying edges")
-    placed = reference_coordinatize(ug, coloring)
+    placed = reference_coordinatize(g, coloring)
     if placed is None:
         raise InvalidColoringError("coloring is not a product coloring")
     return placed
@@ -358,9 +368,8 @@ def merge_conflicts(g, coloring):
 def reference_cartesian_pfd(g):
     """(factors, coords) as cartesian_pfd computed them with the reference
     checks; g is connected with at least two vertices."""
-    ug = g.underlying_undirected()
-    coloring = reference_closure_coloring(ug)
-    while reference_coordinatize(ug, coloring) is None:
+    coloring = reference_closure_coloring(g)
+    while reference_coordinatize(g, coloring) is None:
         coloring = merge_colors(coloring, [(0, 1)])
     coloring = merge_conflicts(g, coloring)
     positions, coords, factor_edges = reference_placement(g, coloring)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from digraph_pfd import (
     Digraph,
-    UndirectedGraph,
     cartesian_pfd,
     cartesian_product,
     classify_edge,
@@ -20,26 +19,26 @@ from digraph_pfd import (
 from digraph_pfd.cartesian_pfd import EdgeColoring
 from digraph_pfd.errors import InvalidColoringError, NotConnectedError
 
-from helpers import c3, conflict_square, factor_forms, k1, p2, relabelled, star, two_k2
+from helpers import c3, conflict_square, factor_forms, k1, p2, relabelled, shadow, star, two_k2
 from strategies import connected_digraphs, graph_with_permutation
 
 
 def test_square_gets_two_colors_with_opposite_edges_paired():
-    ug = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    coloring = undirected_cartesian_pfd(ug)
+    g = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    coloring = undirected_cartesian_pfd(g)
     assert coloring.count == 2
     assert coloring.colors[(0, 1)] == coloring.colors[(2, 3)]
     assert coloring.colors[(0, 3)] == coloring.colors[(1, 2)]
 
 
 def test_triangle_is_prime():
-    ug = UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert undirected_cartesian_pfd(ug).count == 1
+    g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
+    assert undirected_cartesian_pfd(g).count == 1
 
 
 def test_cube_gets_three_colors():
     cg = cartesian_product([complete_digraph(2)] * 3)
-    coloring = undirected_cartesian_pfd(cg.graph.underlying_undirected())
+    coloring = undirected_cartesian_pfd(cg.graph)
     assert coloring.count == 3
     # colors must match the construction's coordinate classes
     by_coord = {}
@@ -54,12 +53,12 @@ def test_cube_gets_three_colors():
 
 def test_undirected_pfd_requires_connected():
     with pytest.raises(NotConnectedError):
-        undirected_cartesian_pfd(UndirectedGraph(2, []))
+        undirected_cartesian_pfd(Digraph(2, []))
 
 
 def test_color_classes_partition_into_equal_layers():
     g = cartesian_product([p2(), c3()]).graph
-    coloring = undirected_cartesian_pfd(g.underlying_undirected())
+    coloring = undirected_cartesian_pfd(g)
     for color in range(coloring.count):
         comps = _components(g.n, [e for e, c in coloring.colors.items() if c == color])
         sizes = {len(c) for c in comps}
@@ -98,20 +97,20 @@ def test_no_conflicts_on_genuine_product():
 
 def test_conflict_square_has_conflict():
     g = conflict_square()
-    coloring = undirected_cartesian_pfd(g.underlying_undirected())
+    coloring = undirected_cartesian_pfd(g)
     assert coloring.count == 2
     assert direction_conflicts(g, coloring) != []
 
 
 def test_single_color_never_conflicts():
     g = conflict_square()
-    colors = {e: 0 for e in g.underlying_undirected().edges}
+    colors = {e: 0 for e in shadow(g)[0]}
     assert direction_conflicts(g, EdgeColoring(colors, 1)) == []
 
 
 def test_invalid_coloring_rejected():
     g = cartesian_product([p2(), c3()]).graph
-    edges = g.underlying_undirected().edges
+    edges = shadow(g)[0]
     colors = {e: i % 3 for i, e in enumerate(edges)}
     with pytest.raises(InvalidColoringError):
         direction_conflicts(g, EdgeColoring(colors, 3))
@@ -207,7 +206,7 @@ def test_factors_are_prime(a, b):
 def test_digraph_colors_refine_undirected_colors(a, b):
     g = cartesian_product([a, b]).graph
     f = cartesian_pfd(g)
-    undirected = undirected_cartesian_pfd(g.underlying_undirected())
+    undirected = undirected_cartesian_pfd(g)
     # the factor index of an arc is the coordinate it moves along
     arc_factor = {}
     for u, v in g.arcs:

@@ -30,6 +30,7 @@ from helpers import (
     reference_coordinatize,
     reference_direction_conflicts,
     reference_placement,
+    shadow,
 )
 
 
@@ -74,17 +75,17 @@ def perturbed_products(count, seed):
             u, v = g.arcs[rng.below(len(g.arcs))]
             arcs -= {(u, v), (v, u)}
         if change & 2:
-            ug = g.underlying_undirected()
+            adj = shadow(g)[1]
             pairs = [
                 (u, v)
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
-                if v not in ug.adj[u] and len(moved(u, v)) == 1
+                if v not in adj[u] and len(moved(u, v)) == 1
             ]
             if pairs:
                 arcs.add(pairs[rng.below(len(pairs))])
         h = Digraph(g.n, arcs)
-        colors = {(u, v): moved(u, v)[0] for u, v in h.underlying_undirected().edges}
+        colors = {(u, v): moved(u, v)[0] for u, v in shadow(h)[0]}
         cases.append((h, EdgeColoring(colors, 2)))
     return cases
 
@@ -98,7 +99,7 @@ def coarsenings(coloring):
 
 
 def random_colorings(g, rng, count):
-    edges = g.underlying_undirected().edges
+    edges = shadow(g)[0]
     for _ in range(count):
         k = 1 + rng.below(3)
         yield EdgeColoring({e: rng.below(k) for e in edges}, k)
@@ -133,7 +134,7 @@ def assert_same_checks(g, coloring):
 def assert_same_pfd(g):
     f = cartesian_pfd(g)
     assert (f.factors, f.coords) == reference_cartesian_pfd(g)
-    for coloring in coarsenings(undirected_cartesian_pfd(g.underlying_undirected())):
+    for coloring in coarsenings(undirected_cartesian_pfd(g)):
         assert_same_checks(g, coloring)
 
 
@@ -159,7 +160,7 @@ def test_oriented_products_match_reference():
     merged = 0
     for g in graphs:
         assert_same_pfd(g)
-        finest = undirected_cartesian_pfd(g.underlying_undirected())
+        finest = undirected_cartesian_pfd(g)
         merged += len(cartesian_pfd(g).factors) < finest.count
     assert merged >= 30
 
@@ -179,18 +180,18 @@ def test_perturbed_product_colorings_match_reference():
     verdicts = []
     for g, coloring in perturbed_products(80, seed=8):
         assert_same_checks(g, coloring)
-        verdicts.append(reference_coordinatize(g.underlying_undirected(), coloring))
+        verdicts.append(reference_coordinatize(g, coloring))
     assert sum(v is None for v in verdicts) >= 40
 
 
 def test_invalid_colorings_match_reference():
     g = cartesian_product([p2(), c3()]).graph
-    edges = g.underlying_undirected().edges
+    edges = shadow(g)[0]
     square = conflict_square()
     cases = [
         (g, EdgeColoring({e: i % 3 for i, e in enumerate(edges)}, 3)),
         (g, EdgeColoring({}, 0)),
-        (square, EdgeColoring({e: 0 for e in square.underlying_undirected().edges}, 1)),
+        (square, EdgeColoring({e: 0 for e in shadow(square)[0]}, 1)),
     ]
     for graph, coloring in cases:
         assert_same_checks(graph, coloring)

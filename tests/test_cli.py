@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from digraph_pfd import parse_edge_list, serialize_edge_list, strong_product
+from digraph_pfd import Digraph, parse_edge_list, serialize_edge_list, strong_product
 from digraph_pfd.cli import main
 from digraph_pfd.graphio import MAX_VERTICES
 
@@ -22,6 +22,14 @@ def test_product_writes_graph_and_coords(tmp_path, capsys):
     out = capsys.readouterr().out
     assert parse_edge_list(out) == strong_product([p2(), c3()]).graph
     assert "# coord 0: 0,0" in out
+
+
+@pytest.mark.parametrize("kind", ["strong", "cartesian"])
+def test_product_with_no_vertices_writes_no_coord_line(tmp_path, capsys, kind):
+    empty = write(tmp_path, "e.txt", Digraph(0))
+    a = write(tmp_path, "a.txt", p2())
+    assert main(["product", "--kind", kind, empty, a]) == 0
+    assert capsys.readouterr().out == "0 0\n"
 
 
 def test_product_cartesian_kind(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -90,7 +89,6 @@ def _union_find_connected(n, arcs) -> bool:
 def _check_connectivity(g: Digraph) -> None:
     expected = _union_find_connected(g.n, g.arcs)
     assert g.is_connected() == expected, g
-    assert g.underlying_undirected().is_connected() == expected, g
 
 
 def test_is_connected_matches_union_find_up_to_four_vertices():
@@ -112,19 +110,6 @@ def test_is_connected_finds_or_misses_the_last_vertex(seed):
     _check_connectivity(Digraph(n, core + path))
     _check_connectivity(Digraph(n, core + path[:-1]))
     _check_connectivity(Digraph(n, core + path[:-1] + [(n - 1, rng.randrange(n - 1))]))
-
-
-def test_underlying_undirected():
-    assert p2().underlying_undirected().edges == ((0, 1),)
-    assert k2().underlying_undirected().edges == ((0, 1),)
-    assert c3().underlying_undirected().edges == ((0, 1), (0, 2), (1, 2))
-
-
-@given(digraphs())
-def test_shadow_edge_count_bounds(g):
-    m = g.underlying_undirected().edge_count
-    assert m <= g.arc_count
-    assert m >= math.ceil(g.arc_count / 2)
 
 
 def test_max_degree():

@@ -2,17 +2,17 @@
 certifies only the result it returns: connectivity searches and product
 certificates counted on a thin strong product, the same product times K2,
 a non-thin prime over a composite quotient, and a Cartesian product.  The
-Cartesian stage reads the digraph it factors and builds no UndirectedGraph
-shadow, nor does direction_conflicts on the digraph it checks.
-cartesian_pfd places the vertices once per call, also when misoriented
-squares join factors of the shadow."""
+Cartesian stage reads the digraph it factors and builds no symmetric
+shadow digraph; direction_conflicts builds one, to certify the placement
+on the digraph it checks.  cartesian_pfd places the vertices once per
+call, also when misoriented squares join factors of the shadow."""
 
 import importlib
 
 import pytest
 
 from digraph_pfd import blowup, cartesian_product, strong_product
-from digraph_pfd.digraph import Digraph, UndirectedGraph
+from digraph_pfd.digraph import Digraph
 
 from helpers import c3, conflict_square, k2, oriented_products, p2
 
@@ -63,7 +63,7 @@ def test_one_guard_per_stage_and_one_certificate(monkeypatch, case):
 
     monkeypatch.setattr(strong_pfd_mod, "verify_strong_grouping", counted_verify)
     _count(monkeypatch, Digraph, "is_connected", counts, "bfs")
-    _count(monkeypatch, UndirectedGraph, "__init__", counts, "shadows")
+    _count(monkeypatch, cartesian_pfd_mod, "_symmetric", counts, "shadows")
     _count(
         monkeypatch, strong_pfd_mod, "is_strong_product", counts, "strong", lambda: not in_verify[0]
     )
@@ -88,8 +88,9 @@ def test_cartesian_pfd_places_once(monkeypatch, g):
 
 @pytest.mark.parametrize("g", [conflict_square(), cartesian_product([p2(), c3()]).graph])
 def test_direction_conflicts_builds_no_shadow(monkeypatch, g):
-    finest = cartesian_pfd_mod.undirected_cartesian_pfd(g.underlying_undirected())
+    # No shadow beyond the one symmetric digraph that certifies the placement.
+    finest = cartesian_pfd_mod.undirected_cartesian_pfd(g)
     counts = {"shadows": 0}
-    _count(monkeypatch, UndirectedGraph, "__init__", counts, "shadows")
+    _count(monkeypatch, cartesian_pfd_mod, "_symmetric", counts, "shadows")
     cartesian_pfd_mod.direction_conflicts(g, finest)
-    assert counts["shadows"] == 0
+    assert counts["shadows"] == 1
