@@ -9,28 +9,35 @@ and the ratio of consecutive times next to the ratio of consecutive arc
 counts.
 
 The second table times cartesian_pfd on directed paths with seeded
-relabelled vertices, on directed hypercubes Q_k (Cartesian powers of the
-single arc), and on relabelled out-stars and bidirected stars, whose hub
-has every other vertex as its neighbour.  Each row gives the best wall time
-of --repeats calls and the tracemalloc peak of one more call, counting only
-that call's allocations.
+relabelled vertices, on relabelled directed paths times K2 under the
+Cartesian product (ladders), on directed hypercubes Q_k (Cartesian powers
+of the single arc), and on relabelled out-stars and bidirected stars, whose
+hub has every other vertex as its neighbour.  A path or a star is a tree:
+its edge at vertex 0 lies on no 4-cycle, which proves it Cartesian-prime,
+so those rows time that exit and not the closure.  Every edge of a ladder
+lies on a square, so the ladder rows time the closure and the placement on
+long sparse inputs.  Each row gives the best wall time of --repeats calls
+and the tracemalloc peak of one more call, counting only that call's
+allocations.
 
 The third table times strong_pfd the same way on bidirected hypercubes Q_k
 on relabelled strong products of a directed path on 2000 vertices with
 K3 or with the directed path P3, and on relabelled out-stars times P2.  The
-cubes are triangle-free, so strong-prime, and their skeletons delete no arc,
-so strong_pfd returns each one as its own factor right after the skeleton.
+cubes are triangle-free, so strong-prime: strong_pfd returns each one as
+its own factor at its first edge in no triangle, before any neighbourhood
+mask or skeleton, so those rows time that exit.
 The product with K3 is non-thin: strong_pfd factors its quotient, the path,
 and lifts the coordinates back through the neighbourhood classes.  The
 skeleton of a star times P2 is the star times P2 under the Cartesian
 product, whose two hubs the Cartesian stage must handle in linear time.
 
 Every timed call is also checked: the skeleton of an arc power is the power
-itself, cartesian_pfd returns a path or a star as its own one factor and
-Q_k as k single arcs, strong_pfd returns a bidirected Q_k as its own one
-factor, the factors of the path products are a directed path on 2000
-vertices and K3 (or P3), and those of a star times P2 are the star and P2.
-A mismatch is reported on stderr and the script exits with status 1.
+itself, cartesian_pfd returns a path or a star as its own one factor, a
+ladder as a directed path and K2, and Q_k as k single arcs, strong_pfd
+returns a bidirected Q_k as its own one factor, the factors of the path
+products are a directed path on 2000 vertices and K3 (or P3), and those of
+a star times P2 are the star and P2.  A mismatch is reported on stderr and
+the script exits with status 1.
 
     PYTHONPATH=src python scripts/skeleton_scaling.py --min-k 6 --max-k 12
 """
@@ -57,6 +64,7 @@ STRONG_CUBES = range(9, 12)
 STRONG_PATH = 2000
 HUBS = (2000, 8000)
 ARC = Digraph(2, [(0, 1)])
+K2 = complete_digraph(2)
 K3 = complete_digraph(3)
 
 
@@ -82,8 +90,17 @@ def relabelled(g: Digraph) -> Digraph:
     return g.relabel(perm)
 
 
+def directed_path(n: int) -> Digraph:
+    return Digraph(n, [(v, v + 1) for v in range(n - 1)])
+
+
 def relabelled_path(n: int) -> Digraph:
-    return relabelled(Digraph(n, [(v, v + 1) for v in range(n - 1)]))
+    return relabelled(directed_path(n))
+
+
+def relabelled_ladder(n: int) -> Digraph:
+    """The directed path on n vertices times K2 under the Cartesian product."""
+    return relabelled(cartesian_product([directed_path(n), K2]).graph)
 
 
 def star(n: int, both: bool = False) -> Digraph:
@@ -160,6 +177,16 @@ def main() -> None:
     # (label, input, whether the call returned the right factors)
     paths = [relabelled_path(n) for n in PFD_PATHS]
     rows = [(f"P{g.n}", g, lambda fs, g=g: fs == (g,)) for g in paths]
+    rows += [
+        (
+            f"P{n // 2}xK2",
+            relabelled_ladder(n // 2),
+            lambda fs, n=n: len(fs) == 2
+            and K2 in fs
+            and any(is_directed_path(f, n // 2) for f in fs),
+        )
+        for n in PFD_PATHS
+    ]
     rows += [(f"Q{k}", arc_power(k), lambda fs, k=k: fs == (ARC,) * k) for k in PFD_CUBES]
     stars = [(kind, relabelled(star(n, kind == "bi"))) for n in HUBS for kind in ("out", "bi")]
     rows += [(f"{kind}star{g.n}", g, lambda fs, g=g: fs == (g,)) for kind, g in stars]

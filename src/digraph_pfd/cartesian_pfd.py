@@ -15,6 +15,11 @@ factors, and is_cartesian_product certifies the placement.  It is the only
 check, also in direction_conflicts, which certifies a caller's colouring on
 the symmetric shadow digraph and reads each arc against its translates
 across the edges of other colours.
+
+Every edge of a nontrivial Cartesian product of connected factors lies on
+a 4-cycle, so an input whose edge from vertex 0 to its least neighbour lies
+on none is returned as its own factor before the closure.  Once the closure
+holds one class, no later union can split it, so it stops there.
 """
 
 from __future__ import annotations
@@ -42,13 +47,15 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _union(parent: list[int], a: int, b: int) -> None:
-    """Join the sets of a and b; the smaller root becomes the root."""
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the sets of a and b; the smaller root becomes the root.  Returns
+    whether the two sets were distinct."""
     ra, rb = _find(parent, a), _find(parent, b)
     if ra < rb:
         parent[rb] = ra
     elif rb < ra:
         parent[ra] = rb
+    return ra != rb
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
     comes.  va ~ vb also unless (a, b) is in E1, the pairs credited once:
     every neighbour outside the E1 partners of the pivot, the one with
     fewest, joins it, and each partner joins every neighbour outside its
-    own, in O(deg + |E1|)."""
+    own, in O(deg + |E1|).  The loop stops at one class."""
     n = g.n
     edges = sorted({(u, v) if u < v else (v, u) for u, v in g.arcs})
     arcs = g.arc_set
@@ -81,6 +88,7 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
     for k, (u, w) in enumerate(edges):
         eid[u][w] = eid[w][u] = k
     parent = list(range(len(edges)))
+    classes = len(edges)
     order = sorted(range(n), key=lambda v: -len(eid[v]))
     rank = [0] * n
     for r, v in enumerate(order):
@@ -88,6 +96,8 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
     credits: dict[int, list[int]] = {}  # pair keys a * n + b, a < b, of vertices not yet reached
 
     for v in order:
+        if classes == 1:
+            break
         ev, rv = eid[v], rank[v]
         mid: dict[int, list[int]] = {}
         for a in ev:
@@ -105,12 +115,11 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
                 credits.setdefault(x, []).append(ab)
                 credits.setdefault(a, []).append(vx)
                 credits.setdefault(b, []).append(vx)
-                _union(parent, ev[a], ex[b])
-                _union(parent, ev[b], ex[a])
+                classes -= _union(parent, ev[a], ex[b]) + _union(parent, ev[b], ex[a])
                 if ((v, a) in arcs, (a, v) in arcs, (v, b) in arcs, (b, v) in arcs) != (
                     (b, x) in arcs, (x, b) in arcs, (a, x) in arcs, (x, a) in arcs
                 ):
-                    _union(parent, ev[a], ev[b])
+                    classes -= _union(parent, ev[a], ev[b])
         if len(pairs) == len(ev) * (len(ev) - 1) // 2 == len(set(pairs)):
             continue  # every pair of neighbours spans exactly one square
         partners: dict[int, set[int]] = {}
@@ -124,7 +133,7 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
             near = partners.get(q, ())
             for a in ev:
                 if a != q and a not in near:
-                    _union(parent, ev[q], ev[a])
+                    classes -= _union(parent, ev[q], ev[a])
 
     roots = [_find(parent, i) for i in range(len(edges))]
     relabel = {r: i for i, r in enumerate(sorted(set(roots)))}
@@ -241,18 +250,32 @@ def direction_conflicts(g: Digraph, coloring: EdgeColoring) -> list[tuple[int, i
     return _conflicts(g, coloring, _check_coloring(g, coloring)[1])
 
 
+def _edge_on_no_square(g: Digraph) -> bool:
+    """The edge from vertex 0 to its least neighbour u is on no 4-cycle
+    0-u-x-w.  No adjacency tuples are joined: CPython keeps freed tuples."""
+    near = {*g.out_adj[0], *g.in_adj[0]}
+    u = min(near)
+    near.discard(u)
+    for adj in (g.out_adj, g.in_adj):
+        for x in adj[u]:
+            if x and not (near.isdisjoint(g.out_adj[x]) and near.isdisjoint(g.in_adj[x])):
+                return False
+    return True
+
+
 def cartesian_pfd(g: Digraph) -> Factorization:
     """Unique prime factorization of a connected digraph over the Cartesian
     product: one closure of its shadow's squares, one placement, and the
-    factors read off that placement."""
+    factors read off that placement, unless an edge proves g prime first."""
     if g.n == 0:
         return Factorization((), ())
-    if g.n == 1:
-        return Factorization((g,), ((0,),))
     if not g.is_connected():
         raise NotConnectedError("Cartesian PFD requires a connected graph")
-    positions, coords = _coordinatize(g, _closure_coloring(g))
-    result = Factorization(tuple(_layers(g, coords, list(map(len, positions)), 0)), coords)
+    if g.n == 1 or _edge_on_no_square(g):
+        result = Factorization((g,), tuple((v,) for v in range(g.n)))
+    else:
+        positions, coords = _coordinatize(g, _closure_coloring(g))
+        result = Factorization(tuple(_layers(g, coords, list(map(len, positions)), 0)), coords)
     if not is_cartesian_product(g, result):
         raise ReconstructionError("result is not the Cartesian product of its factors")
     return result

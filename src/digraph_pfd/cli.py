@@ -8,16 +8,18 @@ stderr), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
 from .canon import is_isomorphic
 from .cartesian_pfd import cartesian_pfd
 from .digraph import Digraph
-from .errors import GraphError, ParseError
+from .errors import GraphError, ParseError, SizeLimitExceededError
 from .factorization import Factorization
-from .graphio import export_dot, parse_edge_list, serialize_edge_list
+from .graphio import MAX_VERTICES, export_dot, parse_edge_list, serialize_edge_list
 from .oracle import OracleConfig, brute_force_strong_pfd, random_prime_digraph, random_thin_digraph
 from .products import cartesian_product, strong_product
 from .relations import quotient
@@ -63,8 +65,15 @@ def _json_factorization(g: Digraph, f: Factorization) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _check_product_size(sizes) -> None:
+    """Refuse a product with more vertices than an edge-list header may declare."""
+    if any(count > MAX_VERTICES for count in itertools.accumulate(sizes, operator.mul)):
+        raise SizeLimitExceededError(f"product has more than {MAX_VERTICES} vertices")
+
+
 def _cmd_product(args) -> int:
     factors = [_read_graph(p) for p in args.graphs]
+    _check_product_size(f.n for f in factors)
     cg = strong_product(factors) if args.kind == "strong" else cartesian_product(factors)
     coord_lines = (f"# coord {v}: {','.join(map(str, c))}\n" for v, c in enumerate(cg.coords))
     _write_output(serialize_edge_list(cg.graph) + "".join(coord_lines), args.output)
@@ -143,7 +152,9 @@ def _cmd_gen(args) -> int:
     elif args.model == "thin":
         g = random_thin_digraph(n_range, args.seed)
     else:
+        _check_product_size(itertools.repeat(n_range[0], args.factors))
         factors = [random_prime_digraph(n_range, args.seed + i) for i in range(args.factors)]
+        _check_product_size(f.n for f in factors)
         g = strong_product(factors).graph
         header += f" factors={args.factors}"
     _write_output(f"{header}\n{serialize_edge_list(g)}", args.output)

@@ -88,7 +88,10 @@ def is_cartesian_product(g: Digraph, f: Factorization) -> bool:
     along a factor-j arc.  Every w differs in some coordinate, so it is
     enough that c_j(w) lies in N+_j[c_j(v)] for every j and that the
     coordinates moved, summed over the out-neighbours, number outdeg(v).
+    When the single factor is g itself and v is at (v,), g passes in O(n).
     """
+    if f.factors == (g,) and f.coords == tuple(zip(range(g.n))):
+        return True
     _vertex_index(f)
     if g.n != len(f.coords):
         return False

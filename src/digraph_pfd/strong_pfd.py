@@ -8,6 +8,12 @@ are then regrouped by checking that the neighborhood-class sizes split
 multiplicatively (the gcd projection gives the only candidate sizes).
 A strong-prime input is returned as its own single factor, with vertex v at
 coordinate (v,), whichever path finds it.
+
+Every edge of a nontrivial strong product of connected factors, K_l
+included, lies in a triangle, so strong_pfd returns an input as prime, before
+any mask, when vertex 0 and its least neighbour have no common neighbour.
+strong_pfd_thin keeps its skeleton first, which must still reject the
+triangle-free, non-thin bidirected K_2.
 """
 
 from __future__ import annotations
@@ -99,6 +105,13 @@ def _prime(g: Digraph) -> Factorization:
     return Factorization((g,), tuple((v,) for v in range(g.n)))
 
 
+def _edge_in_no_triangle(g: Digraph) -> bool:
+    """No vertex is adjacent to both vertex 0 and its least neighbour."""
+    near = {*g.out_adj[0], *g.in_adj[0]}
+    u = min(near)
+    return near.isdisjoint(g.out_adj[u]) and near.isdisjoint(g.in_adj[u])
+
+
 def strong_pfd_thin(g: Digraph) -> Factorization:
     """Prime factors of a connected thin digraph over the strong product.
 
@@ -174,6 +187,8 @@ def strong_pfd(g: Digraph) -> Factorization:
         raise NotConnectedError("strong PFD requires a connected graph")
     if g.n == 0:
         return Factorization((), ())
+    if g.n == 1 or _edge_in_no_triangle(g):
+        return _certified(g, _prime(g))
 
     part = s_partition(g, "both")
     if len(part.classes) == g.n:

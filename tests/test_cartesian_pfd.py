@@ -19,7 +19,7 @@ from digraph_pfd import (
 from digraph_pfd.cartesian_pfd import EdgeColoring
 from digraph_pfd.errors import InvalidColoringError, NotConnectedError
 
-from helpers import c3, conflict_square, factor_forms, k1, p2, relabelled, shadow, star, two_k2
+from helpers import c3, conflict_square, factor_forms, k1, k2, p2, relabelled, shadow, star, two_k2
 from strategies import connected_digraphs, graph_with_permutation
 
 
@@ -234,13 +234,24 @@ def _best_seconds(g, repeats=3, factorize=cartesian_pfd):
     return best
 
 
+def _ladder(n, seed):
+    """P_n times K2 under the Cartesian product, relabelled: every edge lies
+    on a square, so the closure runs."""
+    path = Digraph(n, [(v, v + 1) for v in range(n - 1)])
+    return relabelled(cartesian_product([path, k2()]).graph, seed)
+
+
 def test_near_linear_on_relabelled_paths():
-    small, large = _relabelled_path(500, 1), _relabelled_path(4000, 2)
-    time_ratio = _best_seconds(large) / _best_seconds(small)
-    arc_ratio = large.arc_count / small.arc_count
-    assert time_ratio <= 3 * arc_ratio, (
-        f"time ratio {time_ratio:.1f} exceeds 3x arc ratio {arc_ratio:.1f}"
-    )
+    # A path leaves cartesian_pfd before the closure; a ladder goes through it.
+    for small, large in [
+        (_relabelled_path(500, 1), _relabelled_path(4000, 2)),
+        (_ladder(250, 4), _ladder(2000, 5)),
+    ]:
+        time_ratio = _best_seconds(large) / _best_seconds(small)
+        arc_ratio = large.arc_count / small.arc_count
+        assert time_ratio <= 3 * arc_ratio, (
+            f"{large.n} vertices: time ratio {time_ratio:.1f} exceeds 3x arc ratio {arc_ratio:.1f}"
+        )
     g = _relabelled_path(20000, 3)
     tracemalloc.start()
     try:
@@ -257,8 +268,11 @@ def test_near_linear_on_relabelled_hubs():
     # every wedge or every pair at the hub is quadratic.  Out-, in- and
     # bidirected stars go through cartesian_pfd, and a star times P2 through
     # strong_pfd, whose skeleton is the star times P2 under the Cartesian
-    # product.
+    # product.  A star leaves cartesian_pfd before the closure, so a star
+    # times K2 under the Cartesian product goes through it too.
     pairs = [(cartesian_pfd, star(500, kind), star(4000, kind)) for kind in ("out", "in", "both")]
+    star_k2 = [cartesian_product([star(n // 2, "out"), k2()]).graph for n in (500, 4000)]
+    pairs.append((cartesian_pfd, *star_k2))
     star_p2 = [strong_product([star(n // 2, "out"), p2()]).graph for n in (500, 4000)]
     pairs.append((strong_pfd, *star_p2))
     for seed, (factorize, small, large) in enumerate(pairs):

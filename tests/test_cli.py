@@ -3,7 +3,9 @@ import json
 import pytest
 
 from digraph_pfd import Digraph, parse_edge_list, serialize_edge_list, strong_product
+from digraph_pfd import cli
 from digraph_pfd.cli import main
+from digraph_pfd.errors import SizeLimitExceededError
 from digraph_pfd.graphio import MAX_VERTICES
 
 from helpers import c3, k2, p2, two_k2
@@ -30,6 +32,28 @@ def test_product_with_no_vertices_writes_no_coord_line(tmp_path, capsys, kind):
     a = write(tmp_path, "a.txt", p2())
     assert main(["product", "--kind", kind, empty, a]) == 0
     assert capsys.readouterr().out == "0 0\n"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built or drew a graph for a product over the vertex limit")
+
+
+@pytest.mark.parametrize("kind", ["strong", "cartesian"])
+def test_product_over_the_vertex_limit_exits_1_before_building(tmp_path, capsys, monkeypatch, kind):
+    # 2^20 vertices is more than any edge-list header may declare.
+    monkeypatch.setattr(cli, "strong_product", _refuse)
+    monkeypatch.setattr(cli, "cartesian_product", _refuse)
+    a = write(tmp_path, "a.txt", p2())
+    out = tmp_path / "out.txt"
+    assert main(["product", "--kind", kind, *[a] * 20, "-o", str(out)]) == 1
+    assert f"more than {MAX_VERTICES} vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_product_size_limit_is_the_header_limit():
+    cli._check_product_size([1000, 1000])
+    with pytest.raises(SizeLimitExceededError):
+        cli._check_product_size([1000, 1001])
 
 
 def test_product_cartesian_kind(tmp_path, capsys):
@@ -142,6 +166,15 @@ def test_gen_product_model_factors(tmp_path, capsys):
                  "--factors", "2"]) == 0
     g = parse_edge_list(capsys.readouterr().out)
     assert 4 <= g.n <= 9
+
+
+def test_gen_product_over_the_vertex_limit_exits_1_before_drawing(capsys, monkeypatch):
+    # At least 2^40 vertices: refused before the first factor is drawn.
+    monkeypatch.setattr(cli, "random_prime_digraph", _refuse)
+    monkeypatch.setattr(cli, "strong_product", _refuse)
+    assert main(["gen", "--model", "product", "--n", "2", "--factors", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"more than {MAX_VERTICES} vertices" in captured.err
 
 
 def test_gen_prime_model(tmp_path, capsys):

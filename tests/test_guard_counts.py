@@ -5,7 +5,10 @@ a non-thin prime over a composite quotient, and a Cartesian product.  The
 Cartesian stage reads the digraph it factors and builds no symmetric
 shadow digraph; direction_conflicts builds one, to certify the placement
 on the digraph it checks.  cartesian_pfd places the vertices once per
-call, also when misoriented squares join factors of the shadow."""
+call, also when misoriented squares join factors of the shadow.  An input
+with an edge in no triangle leaves strong_pfd after one connectivity
+search and one certificate, with no neighbourhood mask built, and a path
+leaves cartesian_pfd before the closure."""
 
 import importlib
 
@@ -14,7 +17,7 @@ import pytest
 from digraph_pfd import blowup, cartesian_product, strong_product
 from digraph_pfd.digraph import Digraph
 
-from helpers import c3, conflict_square, k2, oriented_products, p2
+from helpers import bidirected_cube, c3, conflict_square, k2, oriented_products, p2, relabelled
 
 strong_pfd_mod = importlib.import_module("digraph_pfd.strong_pfd")
 cartesian_pfd_mod = importlib.import_module("digraph_pfd.cartesian_pfd")
@@ -94,3 +97,26 @@ def test_direction_conflicts_builds_no_shadow(monkeypatch, g):
     _count(monkeypatch, cartesian_pfd_mod, "_symmetric", counts, "shadows")
     cartesian_pfd_mod.direction_conflicts(g, finest)
     assert counts["shadows"] == 1
+
+
+@pytest.mark.parametrize("g", [bidirected_cube(3), relabelled(bidirected_cube(5), 4)])
+def test_triangle_free_input_builds_no_mask(monkeypatch, g):
+    g = Digraph(g.n, g.arcs)  # no mask read yet
+    counts = {"bfs": 0, "strong": 0}
+    _count(monkeypatch, Digraph, "is_connected", counts, "bfs")
+    _count(monkeypatch, strong_pfd_mod, "is_strong_product", counts, "strong")
+    assert strong_pfd_mod.strong_pfd(g).factors == (g,)
+    assert counts == {"bfs": 1, "strong": 1}
+    assert g._out_mask is None and g._in_mask is None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Digraph(3, [(1, 0), (0, 2)]), relabelled(Digraph(50, [(v, v + 1) for v in range(49)]), 5)],
+)
+def test_path_skips_the_closure(monkeypatch, g):
+    counts = {"closures": 0, "cartesian": 0}
+    _count(monkeypatch, cartesian_pfd_mod, "_closure_coloring", counts, "closures")
+    _count(monkeypatch, cartesian_pfd_mod, "is_cartesian_product", counts, "cartesian")
+    assert cartesian_pfd_mod.cartesian_pfd(g).factors == (g,)
+    assert counts == {"closures": 0, "cartesian": 1}

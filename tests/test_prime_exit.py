@@ -94,16 +94,27 @@ def test_unchanged_skeleton_is_the_input():
 def test_one_group_returns_the_input(monkeypatch):
     # c4's ledger is empty, so a stand-in entry sends it through the Cartesian
     # stage and the grouping, which rejects both of its skeleton factors.
+    # c4 is triangle-free, so strong_pfd's triangle exit is switched off too.
     g = c4_bidirected()
     real = strong_pfd_mod.cartesian_skeleton
+    monkeypatch.setattr(strong_pfd_mod, "_edge_in_no_triangle", lambda h: False)
 
     def with_ledger(h):
         result = real(h)
         return SkeletonResult(result.skeleton, ((h.arcs[0], DispensabilityWitness("D1")),))
 
     monkeypatch.setattr(strong_pfd_mod, "cartesian_skeleton", with_ledger)
-    assert _is_itself(g, strong_pfd_thin(g))
-    assert _is_itself(g, strong_pfd(g))
+    verify, tried = strong_pfd_mod.verify_strong_grouping, []
+
+    def counted_verify(*args):
+        tried.append(verify(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(strong_pfd_mod, "verify_strong_grouping", counted_verify)
+    for factorize in (strong_pfd_thin, strong_pfd):
+        tried.clear()
+        assert _is_itself(g, factorize(g))
+        assert tried == [None, None]
 
 
 def test_transitive_triangle_is_one_group():
