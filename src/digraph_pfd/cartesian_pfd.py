@@ -18,8 +18,7 @@ across the edges of other colours.
 
 Every edge of a nontrivial Cartesian product of connected factors lies on
 a 4-cycle, so an input whose edge from vertex 0 to its least neighbour lies
-on none is returned as its own factor before the closure.  Once the closure
-holds one class, no later union can split it, so it stops there.
+on none is returned as its own factor before the closure.
 """
 
 from __future__ import annotations
@@ -47,15 +46,13 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Join the sets of a and b; the smaller root becomes the root.  Returns
-    whether the two sets were distinct."""
+def _union(parent: list[int], a: int, b: int) -> None:
+    """Join the sets of a and b; the smaller root becomes the root."""
     ra, rb = _find(parent, a), _find(parent, b)
     if ra < rb:
         parent[rb] = ra
     elif rb < ra:
         parent[ra] = rb
-    return ra != rb
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
     comes.  va ~ vb also unless (a, b) is in E1, the pairs credited once:
     every neighbour outside the E1 partners of the pivot, the one with
     fewest, joins it, and each partner joins every neighbour outside its
-    own, in O(deg + |E1|).  The loop stops at one class."""
+    own, in O(deg + |E1|)."""
     n = g.n
     edges = sorted({(u, v) if u < v else (v, u) for u, v in g.arcs})
     arcs = g.arc_set
@@ -88,7 +85,6 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
     for k, (u, w) in enumerate(edges):
         eid[u][w] = eid[w][u] = k
     parent = list(range(len(edges)))
-    classes = len(edges)
     order = sorted(range(n), key=lambda v: -len(eid[v]))
     rank = [0] * n
     for r, v in enumerate(order):
@@ -96,8 +92,6 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
     credits: dict[int, list[int]] = {}  # pair keys a * n + b, a < b, of vertices not yet reached
 
     for v in order:
-        if classes == 1:
-            break
         ev, rv = eid[v], rank[v]
         mid: dict[int, list[int]] = {}
         for a in ev:
@@ -115,11 +109,12 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
                 credits.setdefault(x, []).append(ab)
                 credits.setdefault(a, []).append(vx)
                 credits.setdefault(b, []).append(vx)
-                classes -= _union(parent, ev[a], ex[b]) + _union(parent, ev[b], ex[a])
+                _union(parent, ev[a], ex[b])
+                _union(parent, ev[b], ex[a])
                 if ((v, a) in arcs, (a, v) in arcs, (v, b) in arcs, (b, v) in arcs) != (
                     (b, x) in arcs, (x, b) in arcs, (a, x) in arcs, (x, a) in arcs
                 ):
-                    classes -= _union(parent, ev[a], ev[b])
+                    _union(parent, ev[a], ev[b])
         if len(pairs) == len(ev) * (len(ev) - 1) // 2 == len(set(pairs)):
             continue  # every pair of neighbours spans exactly one square
         partners: dict[int, set[int]] = {}
@@ -133,7 +128,7 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
             near = partners.get(q, ())
             for a in ev:
                 if a != q and a not in near:
-                    classes -= _union(parent, ev[q], ev[a])
+                    _union(parent, ev[q], ev[a])
 
     roots = [_find(parent, i) for i in range(len(edges))]
     relabel = {r: i for i, r in enumerate(sorted(set(roots)))}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import operator
 import sys
 from pathlib import Path
@@ -65,15 +66,15 @@ def _json_factorization(g: Digraph, f: Factorization) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _check_product_size(sizes) -> None:
-    """Refuse a product with more vertices than an edge-list header may declare."""
-    if any(count > MAX_VERTICES for count in itertools.accumulate(sizes, operator.mul)):
+def _check_product_size(count: int) -> None:
+    """Refuse a product of count vertices, more than an edge-list header may declare."""
+    if count > MAX_VERTICES:
         raise SizeLimitExceededError(f"product has more than {MAX_VERTICES} vertices")
 
 
 def _cmd_product(args) -> int:
     factors = [_read_graph(p) for p in args.graphs]
-    _check_product_size(f.n for f in factors)
+    _check_product_size(math.prod(f.n for f in factors))
     cg = strong_product(factors) if args.kind == "strong" else cartesian_product(factors)
     coord_lines = (f"# coord {v}: {','.join(map(str, c))}\n" for v, c in enumerate(cg.coords))
     _write_output(serialize_edge_list(cg.graph) + "".join(coord_lines), args.output)
@@ -152,9 +153,11 @@ def _cmd_gen(args) -> int:
     elif args.model == "thin":
         g = random_thin_digraph(n_range, args.seed)
     else:
-        _check_product_size(itertools.repeat(n_range[0], args.factors))
+        # lo**factors bounds the product; the first partial product over the limit stops.
+        for count in itertools.accumulate(itertools.repeat(n_range[0], args.factors), operator.mul):
+            _check_product_size(count)
         factors = [random_prime_digraph(n_range, args.seed + i) for i in range(args.factors)]
-        _check_product_size(f.n for f in factors)
+        _check_product_size(math.prod(f.n for f in factors))
         g = strong_product(factors).graph
         header += f" factors={args.factors}"
     _write_output(f"{header}\n{serialize_edge_list(g)}", args.output)

@@ -106,10 +106,16 @@ def _prime(g: Digraph) -> Factorization:
 
 
 def _edge_in_no_triangle(g: Digraph) -> bool:
-    """No vertex is adjacent to both vertex 0 and its least neighbour."""
-    near = {*g.out_adj[0], *g.in_adj[0]}
-    u = min(near)
-    return near.isdisjoint(g.out_adj[u]) and near.isdisjoint(g.in_adj[u])
+    """No vertex is adjacent to both vertex 0 and its least neighbour u: u's
+    neighbours are looked up in the arc set, so no set is built."""
+    out0, in0 = g.out_adj[0], g.in_adj[0]
+    u = min(out0[0], in0[0]) if out0 and in0 else (out0 or in0)[0]
+    arcs = g.arc_set
+    for adj in (g.out_adj, g.in_adj):
+        for w in adj[u]:
+            if (0, w) in arcs or (w, 0) in arcs:
+                return False
+    return True
 
 
 def strong_pfd_thin(g: Digraph) -> Factorization:

@@ -48,12 +48,18 @@ def test_product_over_the_vertex_limit_exits_1_before_building(tmp_path, capsys,
     assert main(["product", "--kind", kind, *[a] * 20, "-o", str(out)]) == 1
     assert f"more than {MAX_VERTICES} vertices" in capsys.readouterr().err
     assert not out.exists()
+    # The same factors and an empty one, in either order, make 0 vertices.
+    monkeypatch.undo()
+    empty = write(tmp_path, "e.txt", Digraph(0))
+    for graphs in ([*[a] * 20, empty], [empty, *[a] * 20]):
+        assert main(["product", "--kind", kind, *graphs]) == 0
+        assert capsys.readouterr().out == "0 0\n"
 
 
 def test_product_size_limit_is_the_header_limit():
-    cli._check_product_size([1000, 1000])
+    cli._check_product_size(1000 * 1000)
     with pytest.raises(SizeLimitExceededError):
-        cli._check_product_size([1000, 1001])
+        cli._check_product_size(1000 * 1001)
 
 
 def test_product_cartesian_kind(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Three exact facts let the factorizers stop early, and each exit returns
+"""Two exact facts let the factorizers stop early, and each exit returns
 the one-factor result that the oracle confirms.
 
 - Every edge of a strong product of connected factors with two or more
@@ -8,8 +8,6 @@ the one-factor result that the oracle confirms.
 - Every edge of such a Cartesian product lies on a 4-cycle, so
   cartesian_pfd does the same for an edge at vertex 0 on no 4-cycle,
   before the closure.
-- Once the closure holds one class, no later union can change it, so its
-  vertex loop stops there.
 
 Each check is read against a brute-force reference over the n <= 4 corpus,
 a relabelled copy of it, and seeded products."""
@@ -17,10 +15,7 @@ a relabelled copy of it, and seeded products."""
 import importlib
 from itertools import permutations
 
-import pytest
-
 from digraph_pfd import (
-    Digraph,
     brute_force_strong_pfd,
     cartesian_pfd,
     cartesian_product,
@@ -29,12 +24,11 @@ from digraph_pfd import (
     random_connected_digraph,
     strong_pfd,
     strong_product,
-    undirected_cartesian_pfd,
 )
 from digraph_pfd.oracle import SplitMix64
 
 from cartesian_oracle import brute_force_cartesian_factors
-from helpers import oriented_products, reference_closure_coloring, relabelled, shadow
+from helpers import oriented_products, relabelled, shadow
 
 strong_pfd_mod = importlib.import_module("digraph_pfd.strong_pfd")
 cartesian_pfd_mod = importlib.import_module("digraph_pfd.cartesian_pfd")
@@ -127,35 +121,3 @@ def test_no_cartesian_product_has_an_edge_on_no_square():
         adj = shadow(g)[1]
         assert not any(_on_no_square(v, u, adj) for v, u in shadow(g)[0]), g
         assert not cartesian_pfd_mod._edge_on_no_square(g)
-
-
-def _sparse_digraph(n, seed):
-    """Each ordered pair an arc with probability 1/10, drawn from SplitMix64."""
-    rng = SplitMix64(seed)
-    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.below(10) == 0])
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_closure_stops_at_one_class(monkeypatch, seed):
-    # A sparse random digraph is Cartesian-prime, and its closure reaches
-    # one class long before its last vertex: with the stop it makes fewer
-    # unions than a closure told that no union ever merges, and both give
-    # the reference's one colour.
-    g = _sparse_digraph(100, 78_000 + seed)
-    assert g.is_connected()
-    union = cartesian_pfd_mod._union
-    calls = {"stopping": 0, "never": 0}
-
-    def counted(key, merged):
-        def wrapped(*args):
-            calls[key] += 1
-            return union(*args) and merged
-
-        return wrapped
-
-    monkeypatch.setattr(cartesian_pfd_mod, "_union", counted("stopping", True))
-    stopped = undirected_cartesian_pfd(g)
-    monkeypatch.setattr(cartesian_pfd_mod, "_union", counted("never", False))
-    assert stopped == undirected_cartesian_pfd(g) == reference_closure_coloring(g)
-    assert stopped.count == 1
-    assert calls["stopping"] < 0.9 * calls["never"], calls
