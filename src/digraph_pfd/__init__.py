@@ -36,7 +36,6 @@ from .relations import (
     Partition,
     QuotientWithMultiplicity,
     blowup,
-    extract_complete_factor,
     is_thin,
     quotient,
     s_partition,
@@ -75,7 +74,6 @@ __all__ = [
     "dispensability",
     "enumerate_connected_digraphs",
     "export_dot",
-    "extract_complete_factor",
     "gcd_multiplicity",
     "is_cartesian_product",
     "is_isomorphic",

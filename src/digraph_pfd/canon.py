@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .digraph import Arc, Digraph
 from .errors import SizeLimitExceededError
 
-DEFAULT_MAX_VERTICES = 64
+MAX_VERTICES = 64
 
 
 class CanonicalForm(NamedTuple):
@@ -70,11 +70,11 @@ def _interchangeable(g: Digraph, cell: list[int]) -> bool:
     return True
 
 
-def canonical_form(g: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> CanonicalForm:
+def canonical_form(g: Digraph) -> CanonicalForm:
     """Canonical arc encoding; two digraphs get equal forms iff isomorphic."""
-    if g.n > max_vertices:
+    if g.n > MAX_VERTICES:
         raise SizeLimitExceededError(
-            f"canonical form limited to {max_vertices} vertices, got {g.n}"
+            f"canonical form limited to {MAX_VERTICES} vertices, got {g.n}"
         )
     if g.n == 0:
         return CanonicalForm(0, ())
@@ -107,13 +107,11 @@ def canonical_form(g: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> C
     return CanonicalForm(g.n, best[0])
 
 
-def is_isomorphic(g: Digraph, h: Digraph, *, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
+def is_isomorphic(g: Digraph, h: Digraph) -> bool:
     """Isomorphism test via canonical forms, with cheap invariant prefilters."""
     if g.n != h.n or g.arc_count != h.arc_count:
         return False
     deg = sorted((len(g.out_adj[v]), len(g.in_adj[v])) for v in range(g.n))
     if deg != sorted((len(h.out_adj[v]), len(h.in_adj[v])) for v in range(h.n)):
         return False
-    return canonical_form(g, max_vertices=max_vertices) == canonical_form(
-        h, max_vertices=max_vertices
-    )
+    return canonical_form(g) == canonical_form(h)

@@ -83,7 +83,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_skeleton(args) -> int:
     g = _read_graph(args.graph)
-    result = cartesian_skeleton(g, exhaustive=args.exhaustive_z)
+    result = cartesian_skeleton(g)
     text = serialize_edge_list(result.skeleton)
     if args.witnesses:
         lines = []
@@ -196,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-o", "--output")
     p.add_argument("--witnesses", action="store_true", help="append removal ledger")
-    p.add_argument(
-        "--exhaustive-z",
-        action="store_true",
-        help="scan all vertices as witness candidates (debug)",
-    )
     p.set_defaults(func=_cmd_skeleton)
 
     p = sub.add_parser("factor", help="prime factor decomposition")

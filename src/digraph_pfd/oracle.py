@@ -318,17 +318,23 @@ def _random_digraph(rng: SplitMix64, n: int, symmetric: bool) -> Digraph:
     return Digraph(n, arcs)
 
 
+def _rejection_sample(n_range: tuple[int, int], seed: int, symmetric: bool, accept) -> Digraph:
+    """First connected draw that accept(g) takes from the seed's stream; each
+    draw picks its size in n_range, then its arcs."""
+    lo, hi = n_range
+    rng = SplitMix64(seed)
+    for _ in range(_MAX_DRAWS):
+        g = _random_digraph(rng, lo + rng.below(hi - lo + 1), symmetric)
+        if g.is_connected() and accept(g):
+            return g
+    raise TimeBudgetExceededError("rejection sampling failed to produce a graph")
+
+
 def random_connected_digraph(
     n_range: tuple[int, int], seed: int, *, symmetric: bool = False
 ) -> Digraph:
     """Seeded rejection sampler for connected digraphs; deterministic per seed."""
-    rng = SplitMix64(seed)
-    lo, hi = _vertex_range(n_range)
-    for _ in range(_MAX_DRAWS):
-        g = _random_digraph(rng, lo + rng.below(hi - lo + 1), symmetric)
-        if g.is_connected():
-            return g
-    raise TimeBudgetExceededError("rejection sampling failed to produce a graph")
+    return _rejection_sample(_vertex_range(n_range), seed, symmetric, lambda g: True)
 
 
 def random_thin_digraph(
@@ -336,28 +342,19 @@ def random_thin_digraph(
 ) -> Digraph:
     """Connected thin digraph, redrawn until every neighborhood class is
     trivial."""
-    rng = SplitMix64(seed)
-    lo, hi = _vertex_range(n_range)
-    for _ in range(_MAX_DRAWS):
-        g = _random_digraph(rng, lo + rng.below(hi - lo + 1), symmetric)
-        if g.is_connected() and is_thin(g):
-            return g
-    raise TimeBudgetExceededError("rejection sampling failed to produce a graph")
+    return _rejection_sample(_vertex_range(n_range), seed, symmetric, is_thin)
 
 
-def random_prime_digraph(
-    n_range: tuple[int, int], seed: int, cfg: OracleConfig | None = None
-) -> Digraph:
-    """Connected digraph certified prime by the brute-force factorizer."""
+def random_prime_digraph(n_range: tuple[int, int], seed: int) -> Digraph:
+    """Connected digraph certified prime by the brute-force factorizer, so of
+    at most OracleConfig.max_vertices vertices."""
     lo, hi = _vertex_range(n_range)
     if lo < 2:
         raise VertexOutOfRangeError("prime graphs need at least 2 vertices")
-    cfg = cfg or OracleConfig(max_vertices=max(hi, 10))
-    rng = SplitMix64(seed)
-    for _ in range(_MAX_DRAWS):
-        g = _random_digraph(rng, lo + rng.below(hi - lo + 1), False)
-        if not g.is_connected():
-            continue
-        if len(brute_force_strong_pfd(g, cfg).factors) == 1:
-            return g
-    raise TimeBudgetExceededError("rejection sampling failed to produce a graph")
+    if hi > OracleConfig.max_vertices:
+        raise SizeLimitExceededError(
+            f"prime sampler limited to {OracleConfig.max_vertices} vertices, got {hi}"
+        )
+    return _rejection_sample(
+        (lo, hi), seed, False, lambda g: len(brute_force_strong_pfd(g).factors) == 1
+    )

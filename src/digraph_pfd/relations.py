@@ -1,22 +1,19 @@
 """Neighborhood equivalence classes, thinness, quotients and blow-ups.
 
-Two vertices are out-equivalent when their closed out-neighborhoods coincide
-(in-equivalent analogously); the full relation requires both.  Classes are
-always ordered by their smallest member so quotient labelings, and therefore
-all downstream output, are reproducible.
+Two vertices are equivalent (the relation S) when their closed out- and
+in-neighborhoods both coincide.  Classes are always ordered by their smallest
+member so quotient labelings, and therefore all downstream output, are
+reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .digraph import Digraph
 from .errors import NonThinQuotientError, ZeroMultiplicityError
-
-SKind = Literal["out", "in", "both"]
 
 
 @dataclass(frozen=True)
@@ -39,19 +36,11 @@ class QuotientWithMultiplicity:
     mult: tuple[int, ...]
 
 
-def s_partition(g: Digraph, kind: SKind = "both") -> Partition:
-    """Group vertices by equality of closed neighborhoods of the given kind."""
-    if kind == "out":
-        keys = g.out_mask
-    elif kind == "in":
-        keys = g.in_mask
-    elif kind == "both":
-        keys = tuple(zip(g.out_mask, g.in_mask))
-    else:
-        raise ValueError(f"unknown neighborhood kind {kind!r}")
-    groups: dict[object, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(keys[v], []).append(v)
+def s_partition(g: Digraph) -> Partition:
+    """Group vertices by equality of both closed neighborhoods."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v, key in enumerate(zip(g.out_mask, g.in_mask)):
+        groups.setdefault(key, []).append(v)
     # Ascending first-member order falls out of the id-ordered insertion.
     classes = tuple(tuple(members) for members in groups.values())
     class_of = [0] * g.n
@@ -73,7 +62,7 @@ def quotient(g: Digraph) -> QuotientWithMultiplicity:
     the out-arcs of one representative per class stand for all member arcs;
     the result is always thin.
     """
-    part = s_partition(g, "both")
+    part = s_partition(g)
     class_of = part.class_of
     arcs = (
         (c, d)
@@ -97,16 +86,3 @@ def blowup(q: Digraph, mult: Sequence[int]) -> Digraph:
     arcs = [(i, j) for block in blocks for i in block for j in block if i != j]
     arcs += [(i, j) for a, b in q.arcs for i in blocks[a] for j in blocks[b]]
     return Digraph(total, arcs)
-
-
-def extract_complete_factor(g: Digraph) -> tuple[Digraph, int]:
-    """Split g as gPrime boxtimes K_l with l maximal.
-
-    The class sizes of a product with K_l are all divisible by l, and
-    conversely the gcd of the class sizes can always be split off because
-    adjacency between classes is all-or-nothing; hence l is exactly that gcd
-    and gPrime is the blow-up of the quotient with the divided sizes.
-    """
-    q = quotient(g)
-    l = math.gcd(*q.mult)
-    return blowup(q.quotient, [m // l for m in q.mult]), l

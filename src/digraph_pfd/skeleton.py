@@ -27,8 +27,8 @@ transitive middle x -> z -> y, so the candidates are N+(x) & N-(y):
     weak condition, which a strict condition and D3-D5's equalities imply;
   - y lies in N+[x] & N+[y] and x in N-[x] & N-[y], so y in N+[z], x in N-[z].
 Neither x nor y can witness: with z = x or z = y each strict condition
-compares a neighborhood with itself, and D5 excludes both.  The exhaustive
-mode, which keeps this pruning testable, takes every vertex but x and y.
+compares a neighborhood with itself, and D5 excludes both, so both are
+left out of the candidates.
 
 The removal ledger reports, for each removed arc, the first rule that fires
 in the order D1 to D5 and, within that rule, the least candidate.  D2's z1
@@ -206,21 +206,18 @@ def _witness(
     return next((("D5", None, a, b) for a in d5_z1 for b in d5_z2 if a != b), None)
 
 
-def dispensability(
-    g: Digraph, x: int, y: int, *, exhaustive: bool = False
-) -> DispensabilityWitness | None:
+def dispensability(g: Digraph, x: int, y: int) -> DispensabilityWitness | None:
     """Witness for arc xy under the first rule that fires, chosen as the
     module docstring states, or None when the arc survives.  Candidates are
     the transitive middles x -> z -> y, which hold every witness: a witness
     has N[x] & N[y] <= N[z] in both signs; y is in the + meet, x in the -."""
     _require_arc(g, x, y)
     out_m, in_m = g.out_mask, g.in_mask
-    cands = (1 << g.n) - 1 if exhaustive else out_m[x] & in_m[y]
-    record = _witness(out_m, in_m, x, y, cands & ~(1 << x | 1 << y))
+    record = _witness(out_m, in_m, x, y, out_m[x] & in_m[y] & ~(1 << x | 1 << y))
     return None if record is None else _as_witness(out_m, in_m, x, y, record)
 
 
-def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResult:
+def cartesian_skeleton(g: Digraph) -> SkeletonResult:
     """Delete every dispensable arc of a connected thin digraph.
 
     Non-thin input is rejected rather than silently quotiented: the skeleton's
@@ -241,7 +238,7 @@ def cartesian_skeleton(g: Digraph, *, exhaustive: bool = False) -> SkeletonResul
     records = []
     for arc in g.arcs:
         x, y = arc
-        cands = ((1 << g.n) - 1 if exhaustive else out_m[x] & in_m[y]) & ~(1 << x | 1 << y)
+        cands = out_m[x] & in_m[y] & ~(1 << x | 1 << y)
         if not cands or x > y and (y, x) in arc_set:  # judged with yx, which came first
             continue
         record = _witness(out_m, in_m, x, y, cands)

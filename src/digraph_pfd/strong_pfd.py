@@ -133,7 +133,7 @@ def strong_pfd_thin(g: Digraph) -> Factorization:
 def _thin(g: Digraph) -> Factorization:
     """strong_pfd_thin on a non-empty graph, without the final certificate."""
     sk = cartesian_skeleton(g)
-    if sk.skeleton is g and not sk.removed:
+    if sk.skeleton is g:
         return _prime(g)
     sk = sk.skeleton  # free the kernel's records, unread, before the Cartesian stage
     cf = cartesian_pfd(sk)
@@ -196,7 +196,7 @@ def strong_pfd(g: Digraph) -> Factorization:
     if g.n == 1 or _edge_in_no_triangle(g):
         return _certified(g, _prime(g))
 
-    part = s_partition(g, "both")
+    part = s_partition(g)
     if len(part.classes) == g.n:
         # Thin: the quotient is g itself with every multiplicity 1.
         return strong_pfd_thin(g)

@@ -171,7 +171,7 @@ def respects_arcs(g: Digraph, h: Digraph, mapping) -> bool:
 
 def blowup_mapping(g):
     """Explicit isomorphism g -> blowup(quotient(g)) by class-block layout."""
-    part = s_partition(g, "both")
+    part = s_partition(g)
     offsets = []
     run = 0
     for members in part.classes:
@@ -187,9 +187,9 @@ def blowup_mapping(g):
 def quotient_product_mapping(a, b):
     """Explicit isomorphism (A x B)/S -> A/S x B/S via per-factor classes."""
     prod = strong_product([a, b])
-    part = s_partition(prod.graph, "both")
-    pa = s_partition(a, "both")
-    pb = s_partition(b, "both")
+    part = s_partition(prod.graph)
+    pa = s_partition(a)
+    pb = s_partition(b)
     nb = len(pb.classes)
     mapping = []
     for members in part.classes:

@@ -123,7 +123,7 @@ def test_criterion_5_relations_suite():
         assert is_thin(g) == (is_thin(a) and is_thin(b))
         q = quotient(g)
         assert is_thin(q.quotient)
-        for members in s_partition(g, "both").classes:
+        for members in s_partition(g).classes:
             for u in members:
                 for v in members:
                     if u != v:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from digraph_pfd import Digraph, parse_edge_list, serialize_edge_list, strong_product
-from digraph_pfd import cli
+from digraph_pfd import cli, oracle
 from digraph_pfd.cli import main
 from digraph_pfd.errors import SizeLimitExceededError
 from digraph_pfd.graphio import MAX_VERTICES
@@ -80,14 +80,6 @@ def test_skeleton_rejects_non_thin_with_hint(tmp_path, capsys):
     g = write(tmp_path, "g.txt", k2())
     assert main(["skeleton", g]) == 1
     assert "quotient" in capsys.readouterr().err
-
-
-def test_skeleton_exhaustive_flag_matches(tmp_path, capsys):
-    g = write(tmp_path, "g.txt", strong_product([p2(), p2()]).graph)
-    main(["skeleton", g])
-    plain = capsys.readouterr().out
-    main(["skeleton", g, "--exhaustive-z"])
-    assert capsys.readouterr().out == plain
 
 
 def test_factor_text_output(tmp_path, capsys):
@@ -181,6 +173,19 @@ def test_gen_product_over_the_vertex_limit_exits_1_before_drawing(capsys, monkey
     assert main(["gen", "--model", "product", "--n", "2", "--factors", "40"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"more than {MAX_VERTICES} vertices" in captured.err
+
+
+@pytest.mark.parametrize("model", ["prime", "product"])
+def test_gen_primes_over_the_oracle_limit_exit_1_before_drawing(capsys, monkeypatch, model):
+    # A prime has at most 10 vertices, the oracle's limit; no digraph is drawn.
+    draws = []
+    monkeypatch.setattr(oracle, "_random_digraph", lambda *args: draws.append(args))
+    n = "2000" if model == "prime" else "11"
+    assert main(["gen", "--model", model, "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    assert draws == []
 
 
 def test_gen_prime_model(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from digraph_pfd import (
@@ -21,6 +23,7 @@ from digraph_pfd.errors import (
     TimeBudgetExceededError,
     VertexOutOfRangeError,
 )
+from digraph_pfd import oracle
 from digraph_pfd.oracle import _Budget
 
 from helpers import c3, factor_forms, k2, p2
@@ -145,6 +148,33 @@ def test_prime_sampler_postcondition():
 def test_prime_sampler_rejects_k1_range():
     with pytest.raises(VertexOutOfRangeError):
         random_prime_digraph((1, 1), 0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_prime_sampler_refuses_sizes_over_the_oracle_limit(monkeypatch):
+    # Refused before the first draw, whatever the range's lower end.
+    monkeypatch.setattr(oracle, "_random_digraph", _refuse)
+    for n_range in ((OracleConfig.max_vertices + 1,) * 2, (2, 2000)):
+        with pytest.raises(SizeLimitExceededError):
+            random_prime_digraph(n_range, 0)
+
+
+def test_sampler_streams_are_fixed():
+    """The seeded draws of every sampler, which many fixtures rely on, hash
+    as they were recorded; a change of the size or arc draws changes it."""
+
+    def draws():
+        for seed in range(150):
+            for symmetric in (False, True):
+                yield random_connected_digraph((1, 7), seed, symmetric=symmetric)
+                yield random_thin_digraph((2, 7), seed, symmetric=symmetric)
+            yield random_prime_digraph((2, 5), seed)
+
+    digest = hashlib.sha256("\n".join(map(repr, draws())).encode()).hexdigest()
+    assert digest == "c5153a728511e56913337dd8ac5181417395937d115277b91c6af6156d9958eb"
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from digraph_pfd import (
-    Digraph,
     blowup,
     complete_digraph,
-    extract_complete_factor,
-    is_isomorphic,
     is_thin,
     quotient,
     s_partition,
@@ -15,30 +12,23 @@ from digraph_pfd import (
 from digraph_pfd.errors import NonThinQuotientError, ZeroMultiplicityError
 
 from helpers import blowup_mapping, c3, k1, k2, p2, quotient_product_mapping, respects_arcs
-from strategies import connected_digraphs, digraphs
+from strategies import digraphs
 
 
 def test_thin_graph_has_singleton_classes():
-    part = s_partition(c3(), "both")
+    part = s_partition(c3())
     assert part.classes == ((0,), (1,), (2,))
 
 
 def test_complete_graph_single_class():
-    part = s_partition(complete_digraph(4), "both")
+    part = s_partition(complete_digraph(4))
     assert part.classes == ((0, 1, 2, 3),)
 
 
 def test_product_with_k2_classes():
     g = strong_product([p2(), k2()]).graph
-    part = s_partition(g, "both")
+    part = s_partition(g)
     assert part.classes == ((0, 1), (2, 3))
-
-
-def test_out_and_in_partitions_differ():
-    g = Digraph(3, [(1, 2), (2, 1), (0, 1)])
-    assert s_partition(g, "out").classes == ((0,), (1, 2))
-    assert s_partition(g, "in").classes == ((0,), (1,), (2,))
-    assert s_partition(g, "both").classes == ((0,), (1,), (2,))
 
 
 def test_is_thin():
@@ -78,12 +68,11 @@ def test_quotient_is_thin(g):
 
 @given(digraphs())
 def test_classes_induce_complete_subgraphs(g):
-    for kind in ("out", "in", "both"):
-        for members in s_partition(g, kind).classes:
-            for u in members:
-                for v in members:
-                    if u != v:
-                        assert g.has_arc(u, v)
+    for members in s_partition(g).classes:
+        for u in members:
+            for v in members:
+                if u != v:
+                    assert g.has_arc(u, v)
 
 
 def test_blowup_ones_is_identity():
@@ -109,27 +98,6 @@ def test_blowup_of_quotient_reconstructs(g):
     q = quotient(g)
     rebuilt = blowup(q.quotient, list(q.mult))
     assert respects_arcs(g, rebuilt, blowup_mapping(g))
-
-
-def test_extract_complete_factor_examples():
-    g_prime, l = extract_complete_factor(strong_product([p2(), k2()]).graph)
-    assert l == 2
-    assert g_prime == p2()
-
-    g_prime, l = extract_complete_factor(c3())
-    assert l == 1
-    assert g_prime == c3()
-
-    g_prime, l = extract_complete_factor(complete_digraph(6))
-    assert l == 6
-    assert g_prime == k1()
-
-
-@given(connected_digraphs(max_n=5))
-@settings(max_examples=30)
-def test_extract_complete_factor_round_trip(g):
-    g_prime, l = extract_complete_factor(g)
-    assert is_isomorphic(strong_product([g_prime, complete_digraph(l)]).graph, g)
 
 
 @given(digraphs(max_n=4), digraphs(max_n=4))

@@ -148,8 +148,7 @@ PINNED_WITNESSES += [
 def test_pinned_witness_per_rule(n, arcs, arc, witness):
     g = Digraph(n, arcs)
     assert is_thin(g) and g.is_connected()
-    assert dispensability(g, *arc) == witness
-    assert dispensability(g, *arc, exhaustive=True) == witness
+    assert dispensability(g, *arc) == witness == reference_dispensability(g, *arc, exhaustive=True)
     assert (arc, witness) in cartesian_skeleton(g).removed
 
 
@@ -197,18 +196,18 @@ def test_dispensability_matches_reference_ledger():
     rules = set()
     for name, graphs in corpora.items():
         for g in graphs:
-            for exhaustive in (False, True):
-                ledger = []
-                for x, y in g.arcs:
+            ledger = []
+            for x, y in g.arcs:
+                got = dispensability(g, x, y)
+                for exhaustive in (False, True):
                     want = reference_dispensability(g, x, y, exhaustive=exhaustive)
-                    got = dispensability(g, x, y, exhaustive=exhaustive)
                     assert got == want, f"{name}: arc ({x}, {y}) of {g!r}"
-                    rules.add(want and want.rule)
-                    if want is not None:
-                        ledger.append(((x, y), want))
-                if is_thin(g):  # the skeleton takes thin input only
-                    got = cartesian_skeleton(g, exhaustive=exhaustive).removed
-                    assert got == tuple(ledger), f"{name}: ledger of {g!r}"
+                rules.add(got and got.rule)
+                if got is not None:
+                    ledger.append(((x, y), got))
+            if is_thin(g):  # the skeleton takes thin input only
+                got = cartesian_skeleton(g).removed
+                assert got == tuple(ledger), f"{name}: ledger of {g!r}"
     assert rules == {None, "D1", "D2", "D3", "D4", "D5"}
 
 
@@ -336,7 +335,7 @@ def test_non_cartesian_arcs_of_thin_products_dispensable(h, k):
 @given(thin_connected_digraphs(min_n=2, max_n=5))
 def test_candidate_pruning_matches_exhaustive_scan(g):
     for x, y in g.arcs:
-        assert dispensability(g, x, y) == dispensability(g, x, y, exhaustive=True)
+        assert dispensability(g, x, y) == reference_dispensability(g, x, y, exhaustive=True)
 
 
 def test_skeleton_of_p2_p2_is_cartesian_product():
