@@ -183,7 +183,7 @@ def _coordinatize(g: Digraph, coloring: EdgeColoring):
 def _symmetric(g: Digraph) -> Digraph:
     """g's shadow as a digraph: both arcs on every edge, so no misoriented
     square."""
-    return Digraph(g.n, [*g.arcs, *((v, u) for u, v in g.arcs)])
+    return Digraph._derived(tuple(tuple(sorted({*o, *i})) for o, i in zip(g.out_adj, g.in_adj)))
 
 
 def undirected_cartesian_pfd(g: Digraph) -> EdgeColoring:

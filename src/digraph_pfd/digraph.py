@@ -7,7 +7,11 @@ respectively predecessors) are the workhorse of the whole package; they are
 exposed as frozensets and as integer bitmasks so that the subset and
 intersection tests of the dispensability checks run in O(n/w) word
 operations.  The bitmasks take Theta(n^2) bits on sparse graphs, so they are
-built on first read.
+built on first read.  `Digraph(n, arcs)` validates data from callers:
+vertices are exact ints in 0..n-1, loops are rejected and repeated arcs
+dropped.  Stage outputs derived from such graphs (skeletons, quotients,
+layers, shadows) come from `Digraph._derived`, which takes sorted
+out-adjacency rows and checks nothing.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ Arc = tuple[int, int]
 
 
 def _check_endpoint(v: int, n: int) -> None:
-    if not 0 <= v < n:
-        raise VertexOutOfRangeError(f"vertex {v} outside 0..{n - 1}")
+    if type(v) is not int or not 0 <= v < n:
+        raise VertexOutOfRangeError(f"vertex {v!r} outside 0..{n - 1}")
 
 
 def _closed_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -35,25 +39,43 @@ class Digraph:
     __slots__ = ("n", "arcs", "arc_set", "out_adj", "in_adj", "_out_mask", "_in_mask")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
-        if n < 0:
-            raise VertexOutOfRangeError("vertex count must be non-negative")
-        arc_set = set()
-        for u, v in arcs:
-            if u == v:
+        if type(n) is not int or n < 0:
+            raise VertexOutOfRangeError(f"vertex count must be a non-negative int, got {n!r}")
+        out_lists: list[list[int]] = [[] for _ in range(n)]
+        for arc in arcs:
+            try:
+                u, v = arc
+            except (TypeError, ValueError):
+                raise VertexOutOfRangeError(f"arc {arc!r} is not a pair of vertices") from None
+            if u == v and type(u) is type(v) is int:
                 raise LoopArcError(f"loop arc ({u}, {v}) not allowed")
             _check_endpoint(u, n)
             _check_endpoint(v, n)
-            arc_set.add((u, v))
-        out_lists: list[list[int]] = [[] for _ in range(n)]
-        in_lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arc_set:
             out_lists[u].append(v)
+        self._fill(tuple(tuple(sorted(set(vs))) for vs in out_lists))
+
+    @classmethod
+    def _derived(cls, out_adj: tuple[tuple[int, ...], ...]) -> "Digraph":
+        """The graph with out_adj[u], ascending and without u, as u's successors."""
+        g = cls.__new__(cls)
+        g._fill(out_adj)
+        return g
+
+    def _fill(self, out_adj: tuple[tuple[int, ...], ...]) -> None:
+        # One int object per vertex, the rows' own: dict lookups match identity first.
+        ids = list(range(len(out_adj)))
+        for vs in out_adj:
+            for v in vs:
+                ids[v] = v
+        in_lists: list[list[int]] = [[] for _ in out_adj]
+        arcs = [(u, v) for u, vs in zip(ids, out_adj) for v in vs]
+        for u, v in arcs:
             in_lists[v].append(u)
-        self.n = n
-        self.arcs: tuple[Arc, ...] = tuple(sorted(arc_set))
-        self.arc_set = frozenset(arc_set)
-        self.out_adj = tuple(tuple(sorted(vs)) for vs in out_lists)
-        self.in_adj = tuple(tuple(sorted(vs)) for vs in in_lists)
+        self.n = len(out_adj)
+        self.arcs: tuple[Arc, ...] = tuple(arcs)
+        self.arc_set = frozenset(set(arcs))  # a set's copy is sized to fit
+        self.out_adj = out_adj
+        self.in_adj = tuple(map(tuple, in_lists))
         self._out_mask = self._in_mask = None
 
     @property

@@ -100,8 +100,9 @@ def _layers(
         label = {at.get((*base[:i], x, *base[i + 1 :])): x for x in range(size)}
         if None in label:
             raise VertexOutOfRangeError(f"a point of the layer {i} through {v} holds no vertex")
-        arcs = [(x, label[w]) for u, x in label.items() for w in g.out_adj[u] if w in label]
-        factors.append(Digraph(size, arcs))
+        # label lists the layer in coordinate order, so row x is vertex x's.
+        rows = (tuple(sorted(label[w] for w in g.out_adj[u] if w in label)) for u in label)
+        factors.append(Digraph._derived(tuple(rows)))
     return factors
 
 

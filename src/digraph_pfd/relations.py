@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .digraph import Digraph
-from .errors import NonThinQuotientError, ZeroMultiplicityError
+from .errors import NonThinQuotientError, VertexOutOfRangeError, ZeroMultiplicityError
 
 
 @dataclass(frozen=True)
@@ -55,21 +55,20 @@ def is_thin(g: Digraph) -> bool:
     return len(set(zip(g.out_mask, g.in_mask))) == g.n
 
 
-def quotient(g: Digraph) -> QuotientWithMultiplicity:
+def quotient(g: Digraph, part: Partition | None = None) -> QuotientWithMultiplicity:
     """Collapse every neighborhood class to a single vertex.
 
     Between distinct classes adjacency is all-or-nothing per direction, so
     the out-arcs of one representative per class stand for all member arcs;
-    the result is always thin.
+    the result is always thin.  A caller that holds s_partition(g) passes it.
     """
-    part = s_partition(g)
-    class_of = part.class_of
-    arcs = (
-        (c, d)
-        for c, members in enumerate(part.classes)
-        for d in {class_of[w] for w in g.out_adj[members[0]]} - {c}
-    )
-    return QuotientWithMultiplicity(Digraph(len(part.classes), arcs), part.sizes)
+    if part is None:
+        part = s_partition(g)
+    elif len(part.class_of) != g.n:
+        raise VertexOutOfRangeError(f"partition of {len(part.class_of)} vertices, graph of {g.n}")
+    class_of, adj = part.class_of, g.out_adj
+    rows = (sorted({class_of[w] for w in adj[ms[0]]} - {c}) for c, ms in enumerate(part.classes))
+    return QuotientWithMultiplicity(Digraph._derived(tuple(map(tuple, rows))), part.sizes)
 
 
 def blowup(q: Digraph, mult: Sequence[int]) -> Digraph:

@@ -247,8 +247,10 @@ def cartesian_skeleton(g: Digraph) -> SkeletonResult:
             if (y, x) in arc_set:
                 rule, z, z1, z2 = record
                 records.append(((y, x), (rule, z, z2, z1) if rule == "D5" else record))
+    removed = {arc for arc, _ in records}
+    rows = (tuple(w for w in ws if (u, w) not in removed) for u, ws in enumerate(g.out_adj))
     # Digraph is immutable, so an unchanged skeleton is g itself.
     return SkeletonResult(
-        Digraph(g.n, arc_set.difference(arc for arc, _ in records)) if records else g,
+        Digraph._derived(tuple(rows)) if records else g,
         lambda: tuple((arc, _as_witness(out_m, in_m, *arc, r)) for arc, r in sorted(records)),
     )

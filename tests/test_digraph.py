@@ -28,6 +28,23 @@ def test_build_rejects_out_of_range():
         Digraph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, arcs",
+    [
+        (2, [(0, True), (True, 0)]),  # a bool is not a vertex, though True == 1
+        (2.5, []),
+        (3, [(0, 1.5)]),
+        (3, [(0, 1, 2)]),
+        (True, []),
+        (3, [(1, 1.0)]),
+        (3, [0]),
+    ],
+)
+def test_build_accepts_int_vertices_only(n, arcs):
+    with pytest.raises(VertexOutOfRangeError):
+        Digraph(n, arcs)
+
+
 def test_build_complete_k2():
     g = Digraph(2, [(0, 1), (1, 0)])
     assert g == k2()

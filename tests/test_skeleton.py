@@ -331,11 +331,19 @@ def test_non_cartesian_arcs_of_thin_products_dispensable(h, k):
             assert dispensability(cg.graph, u, v) is not None
 
 
-@settings(max_examples=25)
-@given(thin_connected_digraphs(min_n=2, max_n=5))
-def test_candidate_pruning_matches_exhaustive_scan(g):
-    for x, y in g.arcs:
-        assert dispensability(g, x, y) == reference_dispensability(g, x, y, exhaustive=True)
+# Every thin connected digraph on 2-4 vertices and seeded thin ones on 5:
+# a fixed corpus, so a wrong candidate set fails on every run.
+PRUNING_CORPUS = [
+    *(g for n in range(2, 5) for g in enumerate_connected_digraphs(n) if is_thin(g)),
+    *(random_thin_digraph((5, 5), s) for s in range(50)),
+]
+
+
+def test_candidate_pruning_matches_exhaustive_scan():
+    assert len(PRUNING_CORPUS) == 181 + 50
+    for g in PRUNING_CORPUS:
+        for x, y in g.arcs:
+            assert dispensability(g, x, y) == reference_dispensability(g, x, y, exhaustive=True)
 
 
 def test_skeleton_of_p2_p2_is_cartesian_product():
