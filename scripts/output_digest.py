@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the outputs of strong_pfd, cartesian_pfd, the skeleton's removal
-ledger and direction_conflicts over a fixed seeded corpus, one line per
-input.
+ledger, direction_conflicts, the class partition S and the quotient by it
+over a fixed seeded corpus, one line per input.
 
 The corpus is every connected digraph on at most 4 vertices, seeded random
 connected digraphs, relabelled strong products of seeded primes, half of
@@ -10,7 +10,7 @@ bidirected stars, brooms (a directed path with a star at its end) and
 stars times P2 under the strong product, at most 40 vertices each.
 direction_conflicts checks the input against the finest colouring of its
 shadow, from undirected_cartesian_pfd.  Each line holds the input's label
-and, for each of the four calls, the repr of its result or the type and
+and, for each of the six calls, the repr of its result or the type and
 message of the exception it raised.  Two trees, or one tree under `python`
 and `python -O`, give the same outputs exactly when the printed text is
 identical:
@@ -28,8 +28,10 @@ from digraph_pfd import (
     complete_digraph,
     direction_conflicts,
     enumerate_connected_digraphs,
+    quotient,
     random_connected_digraph,
     random_prime_digraph,
+    s_partition,
     strong_pfd,
     strong_product,
     undirected_cartesian_pfd,
@@ -101,6 +103,8 @@ def main() -> None:
             outcome(lambda: cartesian_pfd(g)),
             outcome(lambda: cartesian_skeleton(g).removed),
             outcome(lambda: direction_conflicts(g, undirected_cartesian_pfd(g))),
+            outcome(lambda: s_partition(g)),
+            outcome(lambda: quotient(g)),
             sep="\t",
         )
 

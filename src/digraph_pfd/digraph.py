@@ -7,10 +7,11 @@ respectively predecessors) are the workhorse of the whole package; they are
 exposed as frozensets and as integer bitmasks so that the subset and
 intersection tests of the dispensability checks run in O(n/w) word
 operations.  The bitmasks take Theta(n^2) bits on sparse graphs, so they are
-built on first read.  `Digraph(n, arcs)` validates data from callers:
-vertices are exact ints in 0..n-1, loops are rejected and repeated arcs
-dropped.  Stage outputs derived from such graphs (skeletons, quotients,
-layers, shadows) come from `Digraph._derived`, which takes sorted
+built on first read, as are the classes of S (equal closed out- and
+in-neighborhoods), grouped on the masks.  `Digraph(n, arcs)` validates data
+from callers: vertices are exact ints in 0..n-1, loops are rejected and
+repeated arcs dropped.  Stage outputs derived from such graphs (skeletons,
+quotients, layers, shadows) come from `Digraph._derived`, which takes sorted
 out-adjacency rows and checks nothing.
 """
 
@@ -36,7 +37,7 @@ def _closed_masks(adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
 class Digraph:
     """Immutable loop-free digraph over vertices 0..n-1."""
 
-    __slots__ = ("n", "arcs", "arc_set", "out_adj", "in_adj", "_out_mask", "_in_mask")
+    __slots__ = ("n", "arcs", "arc_set", "out_adj", "in_adj", "_out_mask", "_in_mask", "_classes")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if type(n) is not int or n < 0:
@@ -76,7 +77,7 @@ class Digraph:
         self.arc_set = frozenset(set(arcs))  # a set's copy is sized to fit
         self.out_adj = out_adj
         self.in_adj = tuple(map(tuple, in_lists))
-        self._out_mask = self._in_mask = None
+        self._out_mask = self._in_mask = self._classes = None
 
     @property
     def out_mask(self) -> tuple[int, ...]:
@@ -91,6 +92,16 @@ class Digraph:
         if self._in_mask is None:
             self._in_mask = _closed_masks(self.in_adj)
         return self._in_mask
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes of S, each ascending, ordered by their first member."""
+        if self._classes is None:
+            groups: dict[tuple[int, int], list[int]] = {}
+            for v, key in enumerate(zip(self.out_mask, self.in_mask)):
+                groups.setdefault(key, []).append(v)
+            self._classes = tuple(map(tuple, groups.values()))
+        return self._classes
 
     @property
     def arc_count(self) -> int:

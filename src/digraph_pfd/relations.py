@@ -1,9 +1,10 @@
 """Neighborhood equivalence classes, thinness, quotients and blow-ups.
 
 Two vertices are equivalent (the relation S) when their closed out- and
-in-neighborhoods both coincide.  Classes are always ordered by their smallest
-member so quotient labelings, and therefore all downstream output, are
-reproducible.
+in-neighborhoods both coincide.  The classes are grouped once per graph, by
+`Digraph.classes`, and always ordered by their smallest member so quotient
+labelings, and therefore all downstream output, are reproducible.  The
+quotient is always taken by S(g) itself.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .digraph import Digraph
-from .errors import NonThinQuotientError, VertexOutOfRangeError, ZeroMultiplicityError
+from .errors import NonThinQuotientError, ZeroMultiplicityError
 
 
 @dataclass(frozen=True)
@@ -37,35 +38,27 @@ class QuotientWithMultiplicity:
 
 
 def s_partition(g: Digraph) -> Partition:
-    """Group vertices by equality of both closed neighborhoods."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v, key in enumerate(zip(g.out_mask, g.in_mask)):
-        groups.setdefault(key, []).append(v)
-    # Ascending first-member order falls out of the id-ordered insertion.
-    classes = tuple(tuple(members) for members in groups.values())
+    """The classes of S, g.classes, with each vertex's class index."""
     class_of = [0] * g.n
-    for idx, members in enumerate(classes):
+    for idx, members in enumerate(g.classes):
         for v in members:
             class_of[v] = idx
-    return Partition(classes, tuple(class_of))
+    return Partition(g.classes, tuple(class_of))
 
 
 def is_thin(g: Digraph) -> bool:
     """True iff all vertices are distinguished by their closed neighborhoods."""
-    return len(set(zip(g.out_mask, g.in_mask))) == g.n
+    return len(g.classes) == g.n
 
 
-def quotient(g: Digraph, part: Partition | None = None) -> QuotientWithMultiplicity:
+def quotient(g: Digraph) -> QuotientWithMultiplicity:
     """Collapse every neighborhood class to a single vertex.
 
     Between distinct classes adjacency is all-or-nothing per direction, so
     the out-arcs of one representative per class stand for all member arcs;
-    the result is always thin.  A caller that holds s_partition(g) passes it.
+    the result is always thin.
     """
-    if part is None:
-        part = s_partition(g)
-    elif len(part.class_of) != g.n:
-        raise VertexOutOfRangeError(f"partition of {len(part.class_of)} vertices, graph of {g.n}")
+    part = s_partition(g)
     class_of, adj = part.class_of, g.out_adj
     rows = (sorted({class_of[w] for w in adj[ms[0]]} - {c}) for c, ms in enumerate(part.classes))
     return QuotientWithMultiplicity(Digraph._derived(tuple(map(tuple, rows))), part.sizes)

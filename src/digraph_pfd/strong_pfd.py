@@ -201,7 +201,7 @@ def strong_pfd(g: Digraph) -> Factorization:
         # Thin: the quotient is g itself with every multiplicity 1.
         return strong_pfd_thin(g)
     l = math.gcd(*part.sizes)
-    h = quotient(g, part).quotient
+    h = quotient(g).quotient
     primes = _prime_factors(l)
 
     group_sets: list[tuple[int, ...]] = []

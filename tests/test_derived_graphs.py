@@ -1,6 +1,7 @@
 """Every graph that a pipeline stage derives without validation (skeleton,
-quotient, layer, symmetric shadow) has the fields, masks, equality and hash
-of the same graph built through the validating constructor."""
+quotient, layer, symmetric shadow) has the fields, masks, S classes,
+equality and hash of the same graph built through the validating
+constructor."""
 
 import pytest
 
@@ -13,12 +14,10 @@ from digraph_pfd import (
     is_thin,
     quotient,
     random_prime_digraph,
-    s_partition,
     strong_pfd,
     strong_product,
 )
 from digraph_pfd.cartesian_pfd import _symmetric
-from digraph_pfd.errors import VertexOutOfRangeError
 from digraph_pfd.products import layer
 
 from helpers import relabelled
@@ -42,15 +41,16 @@ def _assert_as_validated(x: Digraph) -> None:
     assert (x.n, x.arcs, x.arc_set) == (ref.n, ref.arcs, ref.arc_set)
     assert (x.out_adj, x.in_adj) == (ref.out_adj, ref.in_adj)
     assert (x.out_mask, x.in_mask) == (ref.out_mask, ref.in_mask)
+    assert x.classes == ref.classes
     assert x == ref and hash(x) == hash(ref)
 
 
 def _derived(g: Digraph) -> list[Digraph]:
-    """The graphs the pipeline derives from g: its shadow, its quotient with
-    and without the partition passed, the skeleton of the quotient, and the
-    factors strong_pfd and cartesian_pfd read off as layers."""
+    """The graphs the pipeline derives from g: its shadow, its quotient, the
+    skeleton of the quotient, and the factors strong_pfd and cartesian_pfd
+    read off as layers."""
     q = quotient(g).quotient
-    out = [_symmetric(g), q, quotient(g, s_partition(g)).quotient]
+    out = [_symmetric(g), q]
     if q.is_connected():
         out += strong_pfd(g).factors
         if is_thin(q):
@@ -81,10 +81,3 @@ def test_corpus_has_skeletons_that_drop_arcs():
     dropped = [cartesian_skeleton(q).skeleton.arc_set < q.arc_set for q in quotients]
     assert sum(dropped) >= len(PRODUCTS) // 2
 
-
-def test_quotient_rejects_partition_of_another_graph():
-    g = strong_product([Digraph(2, [(0, 1)]), complete_digraph(2)]).graph
-    with pytest.raises(VertexOutOfRangeError):
-        quotient(g, s_partition(complete_digraph(3)))
-    with pytest.raises(VertexOutOfRangeError):
-        quotient(complete_digraph(3), s_partition(g))
