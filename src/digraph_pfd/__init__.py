@@ -31,7 +31,7 @@ from .oracle import (
     random_prime_digraph,
     random_thin_digraph,
 )
-from .products import CoordGraph, cartesian_product, classify_edge, layer, strong_product
+from .products import CoordGraph, cartesian_product, strong_product
 from .relations import (
     Partition,
     QuotientWithMultiplicity,
@@ -40,14 +40,7 @@ from .relations import (
     quotient,
     s_partition,
 )
-from .skeleton import (
-    DispensabilityWitness,
-    SkeletonResult,
-    cartesian_skeleton,
-    dispensability,
-    n_condition,
-    weak_n_condition,
-)
+from .skeleton import DispensabilityWitness, SkeletonResult, cartesian_skeleton, dispensability
 from .strong_pfd import gcd_multiplicity, strong_pfd, strong_pfd_thin, verify_strong_grouping
 
 __all__ = [
@@ -68,7 +61,6 @@ __all__ = [
     "cartesian_pfd",
     "cartesian_product",
     "cartesian_skeleton",
-    "classify_edge",
     "complete_digraph",
     "direction_conflicts",
     "dispensability",
@@ -79,8 +71,6 @@ __all__ = [
     "is_isomorphic",
     "is_strong_product",
     "is_thin",
-    "layer",
-    "n_condition",
     "parse_edge_list",
     "quotient",
     "random_connected_digraph",
@@ -95,5 +85,4 @@ __all__ = [
     "strong_product",
     "undirected_cartesian_pfd",
     "verify_strong_grouping",
-    "weak_n_condition",
 ]

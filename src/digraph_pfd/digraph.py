@@ -42,7 +42,8 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if type(n) is not int or n < 0:
             raise VertexOutOfRangeError(f"vertex count must be a non-negative int, got {n!r}")
-        out_lists: list[list[int]] = [[] for _ in range(n)]
+        ids = list(range(n))  # the one int object of each vertex id
+        out_lists: list[list[int]] = [[] for _ in ids]
         for arc in arcs:
             try:
                 u, v = arc
@@ -52,7 +53,7 @@ class Digraph:
                 raise LoopArcError(f"loop arc ({u}, {v}) not allowed")
             _check_endpoint(u, n)
             _check_endpoint(v, n)
-            out_lists[u].append(v)
+            out_lists[u].append(ids[v])
         self._fill(tuple(tuple(sorted(set(vs))) for vs in out_lists))
 
     @classmethod
@@ -121,16 +122,6 @@ class Digraph:
         """Closed in-neighborhood: v together with its predecessors."""
         _check_endpoint(v, self.n)
         return frozenset(self.in_adj[v]) | {v}
-
-    def degree(self, v: int) -> int:
-        """Total degree: out-degree plus in-degree, self excluded."""
-        _check_endpoint(v, self.n)
-        return len(self.out_adj[v]) + len(self.in_adj[v])
-
-    def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(self.degree(v) for v in range(self.n))
 
     def is_connected(self) -> bool:
         """Weak connectivity: a search from vertex 0 along arcs of either

@@ -9,23 +9,10 @@ round-trip exactly on normalized text.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .digraph import Arc, Digraph
 from .errors import ArityMismatchError, LoopArcError, ParseError
 from .errors import SizeLimitExceededError, VertexOutOfRangeError
-from .products import CoordGraph, classify_edge
-
-_DOT_PALETTE = (
-    "black",
-    "blue",
-    "red",
-    "darkgreen",
-    "orange",
-    "purple",
-    "brown",
-    "cadetblue",
-)
 
 # An integer of the format: an optional minus sign and ASCII digits, nothing
 # else that int() accepts (a plus sign, underscores, non-ASCII digits).
@@ -82,37 +69,10 @@ def serialize_edge_list(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(
-    g: Digraph | CoordGraph,
-    *,
-    dispensable: Iterable[Arc] = (),
-    name: str = "G",
-) -> str:
-    """Deterministic DOT output.
-
-    For a coordinatized product, arcs are colored by the coordinate they move
-    along, with non-Cartesian arcs gray; arcs listed in `dispensable` are
-    drawn dashed.
-    """
-    coord_graph = g if isinstance(g, CoordGraph) else None
-    graph = coord_graph.graph if coord_graph else g
-    dashed = set(dispensable)
-    lines = [f"digraph {name} {{"]
-    for v in range(graph.n):
-        if coord_graph:
-            label = ",".join(str(c) for c in coord_graph.coords[v])
-            lines.append(f'  {v} [label="{v}:({label})"];')
-        else:
-            lines.append(f"  {v};")
-    for arc in graph.arcs:
-        attrs = []
-        if coord_graph:
-            j = classify_edge(coord_graph, arc)
-            color = "gray" if j is None else _DOT_PALETTE[j % len(_DOT_PALETTE)]
-            attrs.append(f"color={color}")
-        if arc in dashed:
-            attrs.append("style=dashed")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {arc[0]} -> {arc[1]}{suffix};")
+def export_dot(g: Digraph) -> str:
+    """Deterministic DOT output: one line per vertex, then one per arc."""
+    lines = ["digraph G {"]
+    lines.extend(f"  {v};" for v in range(g.n))
+    lines.extend(f"  {u} -> {v};" for u, v in g.arcs)
     lines.append("}")
     return "\n".join(lines) + "\n"

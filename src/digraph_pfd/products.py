@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .digraph import Arc, Digraph
-from .errors import (
-    ArcNotPresentError,
-    EmptyFactorListError,
-    IndexOutOfRangeError,
-    VertexOutOfRangeError,
-)
+from .errors import EmptyFactorListError, VertexOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -27,17 +22,6 @@ class CoordGraph:
     graph: Digraph
     factors: tuple[Digraph, ...]
     coords: tuple[tuple[int, ...], ...]
-
-    def vertex_at(self, coord: Sequence[int]) -> int:
-        """Row-major vertex id of a coordinate tuple with one entry inside
-        every factor; raises VertexOutOfRangeError for any other tuple."""
-        sizes = [factor.n for factor in self.factors]
-        if len(coord) != len(sizes) or not all(0 <= c < s for c, s in zip(coord, sizes)):
-            raise VertexOutOfRangeError(f"coordinate {tuple(coord)} lies off the grid {sizes}")
-        vid = 0
-        for c, s in zip(coord, sizes):
-            vid = vid * s + c
-        return vid
 
 
 def _strides(sizes: Sequence[int]) -> list[int]:
@@ -104,22 +88,3 @@ def _layers(
         rows = (tuple(sorted(label[w] for w in g.out_adj[u] if w in label)) for u in label)
         factors.append(Digraph._derived(tuple(rows)))
     return factors
-
-
-def layer(cg: CoordGraph, j: int, x: int) -> Digraph:
-    """The copy of factor j through vertex x, relabeled by coordinate j."""
-    if not 0 <= j < len(cg.factors):
-        raise IndexOutOfRangeError(f"factor index {j} outside 0..{len(cg.factors) - 1}")
-    if not 0 <= x < cg.graph.n:
-        raise VertexOutOfRangeError(f"vertex {x} outside 0..{cg.graph.n - 1}")
-    return _layers(cg.graph, cg.coords, [f.n for f in cg.factors], x)[j]
-
-
-def classify_edge(cg: CoordGraph, arc: Arc) -> int | None:
-    """The single differing coordinate of a Cartesian arc, or None when the
-    endpoints differ in more than one coordinate (non-Cartesian)."""
-    if arc not in cg.graph.arc_set:
-        raise ArcNotPresentError(f"arc {arc} not present")
-    cu, cv = cg.coords[arc[0]], cg.coords[arc[1]]
-    diff = [j for j, (a, b) in enumerate(zip(cu, cv)) if a != b]
-    return diff[0] if len(diff) == 1 else None

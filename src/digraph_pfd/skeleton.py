@@ -49,13 +49,11 @@ first read (see README step 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
-from .digraph import Arc, Digraph, _check_endpoint
+from .digraph import Arc, Digraph
 from .errors import ArcNotPresentError, NotConnectedError, NotThinError
 from .relations import is_thin
-
-Sign = Literal["+", "-"]
 
 
 @dataclass(frozen=True)
@@ -98,51 +96,6 @@ class SkeletonResult:
 
     def __repr__(self) -> str:
         return f"SkeletonResult(skeleton={self.skeleton!r}, removed={self.removed!r})"
-
-
-def _strict_conditions(masks: Sequence[int], x: int, y: int, z: int) -> tuple[int, ...]:
-    """Strict conditions (1, 2, 3) holding for xy with z, for one sign."""
-    mx, my, mz = masks[x], masks[y], masks[z]
-    out = []
-    if mx != mz and mx & mz == mx and mz != my and mz & my == mz:
-        out.append(1)
-    if my != mz and my & mz == my and mz != mx and mz & mx == mz:
-        out.append(2)
-    mxy = mx & my
-    mxz = mx & mz
-    myz = my & mz
-    if mxy != mxz and mxy & mxz == mxy and mxy != myz and mxy & myz == mxy:
-        out.append(3)
-    return tuple(out)
-
-
-def _require_arc(g: Digraph, x: int, y: int) -> None:
-    if (x, y) not in g.arc_set:
-        raise ArcNotPresentError(f"arc ({x}, {y}) not present")
-
-
-def _query_masks(g: Digraph, x: int, y: int, z: int, sign: Sign) -> Sequence[int]:
-    """Masks of one sign for a single-condition query, after its checks."""
-    _require_arc(g, x, y)
-    _check_endpoint(z, g.n)
-    if sign == "+":
-        return g.out_mask
-    if sign == "-":
-        return g.in_mask
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
-def n_condition(g: Digraph, x: int, y: int, z: int, sign: Sign) -> int | None:
-    """First strict condition (1, 2 or 3) holding for arc xy with z, if any."""
-    conds = _strict_conditions(_query_masks(g, x, y, z, sign), x, y, z)
-    return conds[0] if conds else None
-
-
-def weak_n_condition(g: Digraph, x: int, y: int, z: int, sign: Sign) -> bool:
-    """Non-strict variant: N[x] & N[y] contained in both N[x] & N[z] and
-    N[y] & N[z], that is, in N[z]."""
-    masks = _query_masks(g, x, y, z, sign)
-    return masks[x] & masks[y] & masks[z] == masks[x] & masks[y]
 
 
 def _as_witness(out_m, in_m, x: int, y: int, record: tuple) -> DispensabilityWitness:
@@ -211,7 +164,8 @@ def dispensability(g: Digraph, x: int, y: int) -> DispensabilityWitness | None:
     module docstring states, or None when the arc survives.  Candidates are
     the transitive middles x -> z -> y, which hold every witness: a witness
     has N[x] & N[y] <= N[z] in both signs; y is in the + meet, x in the -."""
-    _require_arc(g, x, y)
+    if (x, y) not in g.arc_set:
+        raise ArcNotPresentError(f"arc ({x}, {y}) not present")
     out_m, in_m = g.out_mask, g.in_mask
     record = _witness(out_m, in_m, x, y, out_m[x] & in_m[y] & ~(1 << x | 1 << y))
     return None if record is None else _as_witness(out_m, in_m, x, y, record)

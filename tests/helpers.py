@@ -1,5 +1,7 @@
 """Small graphs and checks shared across the test modules."""
 
+import functools
+
 from digraph_pfd import (
     Digraph,
     canonical_form,
@@ -10,13 +12,9 @@ from digraph_pfd import (
     strong_product,
 )
 from digraph_pfd.cartesian_pfd import EdgeColoring, _find, _union
-from digraph_pfd.errors import InvalidColoringError
+from digraph_pfd.errors import ArcNotPresentError, InvalidColoringError
 from digraph_pfd.oracle import SplitMix64
-from digraph_pfd.skeleton import (
-    DispensabilityWitness,
-    _require_arc,
-    _strict_conditions,
-)
+from digraph_pfd.skeleton import DispensabilityWitness
 
 
 def p2() -> Digraph:
@@ -397,35 +395,61 @@ def reference_cartesian_pfd(g):
 
 
 # Reference skeleton rule: the dispensability body that rescanned per-candidate
-# condition lists once per rule.  The differential in test_skeleton.py checks
+# condition lists once per rule, on frozenset closed neighbourhoods rather
+# than the package's bitmasks.  The differential in test_skeleton.py checks
 # that the skeleton kernel reports the same witness on every arc, through
 # dispensability and through cartesian_skeleton's ledger.
 
 
-def _weak_condition(masks, x, y, z):
-    mxy = masks[x] & masks[y]
-    return mxy & masks[z] == mxy
+# Kept for the last few graphs: the differentials ask for the same graph's
+# neighbourhoods once per arc and candidate, which more than doubles
+# tests/test_skeleton.py's time when they are rebuilt each call.
+@functools.lru_cache(maxsize=4)
+def closed_nbhds(g):
+    """Closed out- and in-neighbourhoods of every vertex, keyed by sign."""
+    return {
+        "+": tuple(g.out_nbhd(v) for v in range(g.n)),
+        "-": tuple(g.in_nbhd(v) for v in range(g.n)),
+    }
+
+
+def strict_conditions(nbhds, x, y, z):
+    """Strict conditions (1, 2, 3) holding for arc xy with z, for the sign
+    of nbhds, as the skeleton module's docstring states them."""
+    nx, ny, nz = nbhds[x], nbhds[y], nbhds[z]
+    conds = []
+    if nx < nz < ny:
+        conds.append(1)
+    if ny < nz < nx:
+        conds.append(2)
+    if nx & ny < nx & nz and nx & ny < ny & nz:
+        conds.append(3)
+    return tuple(conds)
+
+
+def weak_condition(nbhds, x, y, z):
+    """The non-strict variant of cond 3 for the sign of nbhds."""
+    nx, ny, nz = nbhds[x], nbhds[y], nbhds[z]
+    return nx & ny <= nx & nz and nx & ny <= ny & nz
 
 
 def _candidates(g, x, y, exhaustive):
     if exhaustive:
-        yield from range(g.n)
-        return
-    mask = (g.out_mask[x] | g.in_mask[x]) & (g.out_mask[y] | g.in_mask[y])
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return range(g.n)
+    nb = closed_nbhds(g)
+    return sorted((nb["+"][x] | nb["-"][x]) & (nb["+"][y] | nb["-"][y]))
 
 
 def reference_dispensability(g, x, y, *, exhaustive=False):
     """Witness for arc xy under the first rule that fires (D1 through D5,
     candidates in ascending vertex id), or None when the arc survives."""
-    _require_arc(g, x, y)
-    out_m, in_m = g.out_mask, g.in_mask
+    if (x, y) not in g.arc_set:
+        raise ArcNotPresentError(f"arc ({x}, {y}) not present")
+    nb = closed_nbhds(g)
+    out_n, in_n = nb["+"], nb["-"]
     cands = list(_candidates(g, x, y, exhaustive))
-    plus = [_strict_conditions(out_m, x, y, z) for z in cands]
-    minus = [_strict_conditions(in_m, x, y, z) for z in cands]
+    plus = [strict_conditions(out_n, x, y, z) for z in cands]
+    minus = [strict_conditions(in_n, x, y, z) for z in cands]
 
     for i, z in enumerate(cands):
         if plus[i] and minus[i]:
@@ -433,36 +457,36 @@ def reference_dispensability(g, x, y, *, exhaustive=False):
             return DispensabilityWitness("D1", z=z, conditions=tokens)
 
     z1 = next(
-        (z for i, z in enumerate(cands) if 3 in plus[i] and _weak_condition(in_m, x, y, z)),
+        (z for i, z in enumerate(cands) if 3 in plus[i] and weak_condition(in_n, x, y, z)),
         None,
     )
     if z1 is not None:
         z2 = next(
-            (z for i, z in enumerate(cands) if 3 in minus[i] and _weak_condition(out_m, x, y, z)),
+            (z for i, z in enumerate(cands) if 3 in minus[i] and weak_condition(out_n, x, y, z)),
             None,
         )
         if z2 is not None:
             return DispensabilityWitness("D2", z1=z1, z2=z2, conditions=("3+", "3-"))
 
     for i, z in enumerate(cands):
-        if plus[i] and (in_m[z] == in_m[x] or in_m[z] == in_m[y]):
+        if plus[i] and (in_n[z] == in_n[x] or in_n[z] == in_n[y]):
             return DispensabilityWitness(
                 "D3", z=z, conditions=tuple(f"{c}+" for c in plus[i])
             )
 
     for i, z in enumerate(cands):
-        if minus[i] and (out_m[z] == out_m[x] or out_m[z] == out_m[y]):
+        if minus[i] and (out_n[z] == out_n[x] or out_n[z] == out_n[y]):
             return DispensabilityWitness(
                 "D4", z=z, conditions=tuple(f"{c}-" for c in minus[i])
             )
 
     for z1 in cands:
-        if z1 in (x, y) or out_m[z1] != out_m[x] or in_m[z1] != in_m[y]:
+        if z1 in (x, y) or out_n[z1] != out_n[x] or in_n[z1] != in_n[y]:
             continue
         for z2 in cands:
             if z2 == z1 or z2 in (x, y):
                 continue
-            if in_m[z2] == in_m[x] and out_m[z2] == out_m[y]:
+            if in_n[z2] == in_n[x] and out_n[z2] == out_n[y]:
                 return DispensabilityWitness("D5", z1=z1, z2=z2)
 
     return None

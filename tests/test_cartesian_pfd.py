@@ -8,7 +8,6 @@ from digraph_pfd import (
     Digraph,
     cartesian_pfd,
     cartesian_product,
-    classify_edge,
     complete_digraph,
     direction_conflicts,
     reconstruct_cartesian,
@@ -31,6 +30,12 @@ def test_square_gets_two_colors_with_opposite_edges_paired():
     assert coloring.colors[(0, 3)] == coloring.colors[(1, 2)]
 
 
+def _moved_coordinate(cg, arc):
+    """The one coordinate along which an arc of a Cartesian product moves."""
+    (j,) = (j for j, (a, b) in enumerate(zip(cg.coords[arc[0]], cg.coords[arc[1]])) if a != b)
+    return j
+
+
 def test_triangle_is_prime():
     g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
     assert undirected_cartesian_pfd(g).count == 1
@@ -44,7 +49,7 @@ def test_cube_gets_three_colors():
     by_coord = {}
     for u, v in cg.graph.arcs:
         if u < v:
-            by_coord[(u, v)] = classify_edge(cg, (u, v))
+            by_coord[(u, v)] = _moved_coordinate(cg, (u, v))
     grouping = {}
     for e, color in coloring.colors.items():
         grouping.setdefault(color, set()).add(by_coord[e])
@@ -86,7 +91,7 @@ def _natural_coloring(cg):
     colors = {}
     for arc in cg.graph.arcs:
         e = (min(arc), max(arc))
-        colors[e] = classify_edge(cg, arc)
+        colors[e] = _moved_coordinate(cg, arc)
     return EdgeColoring(colors, len(cg.factors))
 
 

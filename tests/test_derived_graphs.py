@@ -18,7 +18,7 @@ from digraph_pfd import (
     strong_product,
 )
 from digraph_pfd.cartesian_pfd import _symmetric
-from digraph_pfd.products import layer
+from digraph_pfd.products import _layers
 
 from helpers import relabelled
 
@@ -71,7 +71,8 @@ def test_product_derived_graphs_equal_validated(i):
     g = relabelled(cg.graph, i)
     derived = _derived(g)
     # The product's own layers through a few vertices, one per factor.
-    derived += [layer(cg, j, x) for j in range(len(cg.factors)) for x in (0, cg.graph.n - 1)]
+    sizes = [f.n for f in cg.factors]
+    derived += [f for x in (0, cg.graph.n - 1) for f in _layers(cg.graph, cg.coords, sizes, x)]
     for x in derived:
         _assert_as_validated(x)
 

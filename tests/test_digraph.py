@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given
 
-from digraph_pfd import Digraph, complete_digraph
+from digraph_pfd import (
+    Digraph,
+    cartesian_product,
+    complete_digraph,
+    parse_edge_list,
+    serialize_edge_list,
+    strong_product,
+)
 from digraph_pfd.errors import LoopArcError, VertexOutOfRangeError
 
 from helpers import c3, k2, p2
@@ -129,12 +136,6 @@ def test_is_connected_finds_or_misses_the_last_vertex(seed):
     _check_connectivity(Digraph(n, core + path[:-1] + [(n - 1, rng.randrange(n - 1))]))
 
 
-def test_max_degree():
-    assert p2().max_degree() == 1
-    assert k2().max_degree() == 2
-    assert c3().max_degree() == 2
-
-
 def test_complete_digraph():
     g = complete_digraph(4)
     assert g.arc_count == 12
@@ -166,3 +167,28 @@ def test_value_equality_and_hash():
     assert Digraph(2, [(0, 1)]) == p2()
     assert hash(Digraph(2, [(0, 1)])) == hash(p2())
     assert Digraph(2, [(1, 0)]) != p2()
+
+
+def _cube():
+    """A validated build on 512 vertices, most ids above the small-int cache."""
+    return cartesian_product([p2()] * 9).graph
+
+
+ID_BUILDS = {
+    "cartesian_product": _cube,
+    "strong_product": lambda: strong_product([p2()] * 9).graph,
+    "parse_edge_list": lambda: parse_edge_list(serialize_edge_list(_cube())),
+    "relabel": lambda: _cube().relabel(random.Random(5).sample(range(512), 512)),
+    "complete_digraph": lambda: complete_digraph(300),
+}
+
+
+@pytest.mark.parametrize("build", ID_BUILDS.values(), ids=ID_BUILDS)
+def test_one_int_object_per_vertex(build):
+    g = build()
+    objects = {}
+    for row in (*g.out_adj, *g.in_adj, *g.arcs):
+        for v in row:
+            objects.setdefault(v, set()).add(id(v))
+    assert len(objects) == g.n
+    assert all(len(ids) == 1 for ids in objects.values())

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 
 from digraph_pfd import (
-    cartesian_skeleton,
     export_dot,
     parse_edge_list,
     serialize_edge_list,
@@ -95,18 +94,9 @@ def test_dot_plain():
     assert out == "digraph G {\n  0;\n  1;\n  0 -> 1;\n}\n"
 
 
-def test_dot_with_skeleton_overlay():
-    cg = strong_product([p2(), p2()])
-    removed = [arc for arc, _ in cartesian_skeleton(cg.graph).removed]
-    out = export_dot(cg, dispensable=removed)
-    assert "0 -> 3 [color=gray, style=dashed];" in out
-    assert "0 -> 1 [color=blue];" in out
-    assert "0 -> 2 [color=black];" in out
-
-
 def test_dot_deterministic():
-    cg = strong_product([p2(), p2()])
-    assert export_dot(cg) == export_dot(strong_product([p2(), p2()]))
+    g = strong_product([p2(), p2()]).graph
+    assert export_dot(g) == export_dot(strong_product([p2(), p2()]).graph)
 
 
 def test_header_above_vertex_limit_rejected():

@@ -3,21 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from digraph_pfd import (
-    Digraph,
-    cartesian_product,
-    classify_edge,
-    complete_digraph,
-    is_isomorphic,
-    layer,
-    strong_product,
-)
-from digraph_pfd.errors import (
-    ArcNotPresentError,
-    EmptyFactorListError,
-    IndexOutOfRangeError,
-    VertexOutOfRangeError,
-)
+from digraph_pfd import Digraph, cartesian_product, is_isomorphic, strong_product
+from digraph_pfd.errors import EmptyFactorListError, VertexOutOfRangeError
+from digraph_pfd.products import _layers
 
 from helpers import c3, k1, k2, p2
 from strategies import digraphs
@@ -71,7 +59,7 @@ def test_neighborhood_product_identity(a, b):
     for v in range(cg.graph.n):
         x, y = cg.coords[v]
         expected = {
-            cg.vertex_at((p, q)) for p in a.out_nbhd(x) for q in b.out_nbhd(y)
+            cg.coords.index((p, q)) for p in a.out_nbhd(x) for q in b.out_nbhd(y)
         }
         assert cg.graph.out_nbhd(v) == expected
 
@@ -106,17 +94,29 @@ def test_connected_iff_factors_connected(a, b):
     assert cartesian_product([a, b]).graph.is_connected() == both
 
 
-def test_layer_equals_factor():
-    cg = strong_product([p2(), p2()])
-    assert layer(cg, 0, 1) == p2()  # through (0,1)
-    assert layer(cg, 1, 2) == p2()
+@pytest.mark.parametrize("factors", [[p2(), p2()], [p2(), c3()], [c3(), k2(), p2()]])
+def test_layers_through_every_vertex_equal_the_factors(factors):
+    cg = strong_product(factors)
+    sizes = [f.n for f in factors]
+    for v in range(cg.graph.n):
+        assert _layers(cg.graph, cg.coords, sizes, v) == list(cg.factors)
 
 
-def test_layers_through_same_layer_coincide():
+@pytest.mark.parametrize("missing", list(itertools.product(range(2), range(3))))
+def test_layers_need_every_point_of_their_layers(missing):
+    # P2 x C3 without the vertex at `missing`: the layers through v fail
+    # exactly when that point lies on one of them, else they are the factors.
     cg = strong_product([p2(), c3()])
-    members = [v for v in range(cg.graph.n) if cg.coords[v][1] == cg.coords[4][1]]
-    for y in members:
-        assert layer(cg, 0, y) == layer(cg, 0, 4)
+    keep = {u: i for i, u in enumerate(u for u, c in enumerate(cg.coords) if c != missing)}
+    arcs = [(keep[u], keep[v]) for u, v in cg.graph.arcs if u in keep and v in keep]
+    g = Digraph(len(keep), arcs)
+    coords = [cg.coords[u] for u in keep]
+    for v, c in enumerate(coords):
+        if c[0] == missing[0] or c[1] == missing[1]:
+            with pytest.raises(VertexOutOfRangeError):
+                _layers(g, coords, [2, 3], v)
+        else:
+            assert _layers(g, coords, [2, 3], v) == list(cg.factors)
 
 
 def test_layers_vertex_disjoint():
@@ -137,37 +137,25 @@ def test_layers_vertex_disjoint():
     assert m0 & m3 == set()
 
 
-def test_layer_index_errors():
-    cg = strong_product([p2(), p2()])
-    with pytest.raises(IndexOutOfRangeError):
-        layer(cg, 2, 0)
-
-
 def test_classify_edges():
+    # The arcs of P2 x P2 by the coordinates they move: one for a Cartesian
+    # arc, both for the diagonal; 1 -> 2 is no arc.
     cg = strong_product([p2(), p2()])
-    assert classify_edge(cg, (0, 2)) == 0  # (0,0) -> (1,0)
-    assert classify_edge(cg, (0, 1)) == 1
-    assert classify_edge(cg, (0, 3)) is None  # diagonal
-    with pytest.raises(ArcNotPresentError):
-        classify_edge(cg, (1, 2))
+    moved = {
+        (u, v): tuple(i for i, (a, b) in enumerate(zip(cg.coords[u], cg.coords[v])) if a != b)
+        for u, v in cg.graph.arcs
+    }
+    assert moved == {(0, 1): (1,), (0, 2): (0,), (0, 3): (0, 1), (1, 3): (0,), (2, 3): (1,)}
 
 
 @given(digraphs(min_n=1, max_n=4), digraphs(min_n=1, max_n=4))
 @settings(max_examples=25)
 def test_cartesian_products_have_only_cartesian_arcs(a, b):
     cg = cartesian_product([a, b])
-    assert all(classify_edge(cg, arc) is not None for arc in cg.graph.arcs)
+    for u, v in cg.graph.arcs:
+        assert sum(a != b for a, b in zip(cg.coords[u], cg.coords[v])) == 1
 
 
 def test_row_major_vertex_ids():
     cg = strong_product([p2(), c3()])
     assert cg.coords == tuple(itertools.product(range(2), range(3)))
-    for v, coord in enumerate(cg.coords):
-        assert cg.vertex_at(coord) == v
-
-
-@pytest.mark.parametrize("coord", [(0, 5), (1,), (-1, 0), (0, 2), (0, 0, 0), ()])
-def test_vertex_at_rejects_coordinates_off_the_grid(coord):
-    cg = strong_product([p2(), p2()])
-    with pytest.raises(VertexOutOfRangeError):
-        cg.vertex_at(coord)

@@ -12,25 +12,26 @@ from digraph_pfd import (
     dispensability,
     enumerate_connected_digraphs,
     is_thin,
-    n_condition,
     quotient,
     random_prime_digraph,
     random_thin_digraph,
     strong_pfd,
     strong_pfd_thin,
     strong_product,
-    weak_n_condition,
 )
-from digraph_pfd.errors import (
-    ArcNotPresentError,
-    NotConnectedError,
-    NotThinError,
-    VertexOutOfRangeError,
-)
+from digraph_pfd.errors import ArcNotPresentError, NotConnectedError, NotThinError
 from digraph_pfd.oracle import SplitMix64
-from digraph_pfd.skeleton import _strict_conditions
 
-from helpers import c3, converse, k2, p2, reference_dispensability
+from helpers import (
+    c3,
+    closed_nbhds,
+    converse,
+    k2,
+    p2,
+    reference_dispensability,
+    strict_conditions,
+    weak_condition,
+)
 from strategies import graph_with_permutation, thin_connected_digraphs
 
 
@@ -43,49 +44,41 @@ def diag_graph():
     return strong_product([p2(), p2()]).graph
 
 
-def test_n_condition_on_diagonal():
-    g = diag_graph()
-    assert n_condition(g, 0, 3, 1, "+") == 2  # N+[3] < N+[1] < N+[0]
-    assert n_condition(g, 0, 3, 1, "-") == 1  # N-[0] < N-[1] < N-[3]
+def test_strict_conditions_on_diagonal():
+    nb = closed_nbhds(diag_graph())
+    assert strict_conditions(nb["+"], 0, 3, 1) == (2,)  # N+[3] < N+[1] < N+[0]
+    assert strict_conditions(nb["-"], 0, 3, 1) == (1,)  # N-[0] < N-[1] < N-[3]
 
 
-def test_n_condition_requires_arc():
+def test_dispensability_requires_arc():
     with pytest.raises(ArcNotPresentError):
-        n_condition(diag_graph(), 1, 2, 0, "+")
+        dispensability(diag_graph(), 1, 2)
 
 
-@pytest.mark.parametrize("z", [-1, 4])
-@pytest.mark.parametrize("query", [n_condition, weak_n_condition])
-def test_condition_queries_reject_witness_out_of_range(query, z):
-    with pytest.raises(VertexOutOfRangeError):
-        query(diag_graph(), 0, 3, z, "+")
-
-
-def test_n_condition_impossible_with_equal_neighborhoods():
+def test_no_strict_condition_with_equal_neighborhoods():
     g = k2()  # N+[0] == N+[1]
     for z in range(g.n):
-        assert n_condition(g, 0, 1, z, "+") is None
+        assert strict_conditions(closed_nbhds(g)["+"], 0, 1, z) == ()
 
 
 def test_weak_condition_with_z_equal_x():
     g = diag_graph()
     for x, y in g.arcs:
-        assert weak_n_condition(g, x, y, x, "+")
-        assert weak_n_condition(g, x, y, x, "-")
+        for nbhds in closed_nbhds(g).values():
+            assert weak_condition(nbhds, x, y, x)
 
 
 def test_weak_condition_example():
-    g = diag_graph()
-    assert weak_n_condition(g, 0, 3, 2, "+")
+    assert weak_condition(closed_nbhds(diag_graph())["+"], 0, 3, 2)
 
 
 def test_strict_cond3_implies_weak():
-    g = diag_graph()
-    for x, y in g.arcs:
-        for z in range(g.n):
-            for sign in "+-":
-                if n_condition(g, x, y, z, sign) == 3:
-                    assert weak_n_condition(g, x, y, z, sign)
+    for g in [diag_graph(), *_thin_small()]:
+        for x, y in g.arcs:
+            for z in range(g.n):
+                for nbhds in closed_nbhds(g).values():
+                    if 3 in strict_conditions(nbhds, x, y, z):
+                        assert weak_condition(nbhds, x, y, z)
 
 
 def test_diagonal_is_dispensable_by_d1():
@@ -238,13 +231,11 @@ def test_one_strict_condition_per_sign():
     # the only strict condition that can hold for a sign.
     for g in _thin_small():
         for x, y in g.arcs:
-            for masks in (g.out_mask, g.in_mask):
-                mx, my = masks[x], masks[y]
-                nesting = (
-                    () if mx == my else (1,) if mx & my == mx else (2,) if mx & my == my else (3,)
-                )
+            for nbhds in closed_nbhds(g).values():
+                nx, ny = nbhds[x], nbhds[y]
+                nesting = () if nx == ny else (1,) if nx < ny else (2,) if ny < nx else (3,)
                 for z in range(g.n):
-                    assert _strict_conditions(masks, x, y, z) in ((), nesting)
+                    assert strict_conditions(nbhds, x, y, z) in ((), nesting)
 
 
 def test_skeleton_and_rules_follow_every_labelling():
@@ -267,17 +258,17 @@ def test_skeleton_of_converse_is_converse_of_skeleton():
 
 def _roles(g, x, y, z):
     """The roles of rules D1-D5 that z fills for arc xy, found from the
-    condition queries and the masks alone."""
-    out_m, in_m = g.out_mask, g.in_mask
-    plus, minus = n_condition(g, x, y, z, "+"), n_condition(g, x, y, z, "-")
+    conditions on the closed neighbourhoods alone."""
+    out_n, in_n = closed_nbhds(g).values()
+    plus, minus = strict_conditions(out_n, x, y, z), strict_conditions(in_n, x, y, z)
     roles = {
-        "D1 z": plus is not None and minus is not None,
-        "D2 z1": plus == 3 and weak_n_condition(g, x, y, z, "-"),
-        "D2 z2": minus == 3 and weak_n_condition(g, x, y, z, "+"),
-        "D3 z": plus is not None and in_m[z] in (in_m[x], in_m[y]),
-        "D4 z": minus is not None and out_m[z] in (out_m[x], out_m[y]),
-        "D5 z1": out_m[z] == out_m[x] and in_m[z] == in_m[y],
-        "D5 z2": in_m[z] == in_m[x] and out_m[z] == out_m[y],
+        "D1 z": bool(plus and minus),
+        "D2 z1": 3 in plus and weak_condition(in_n, x, y, z),
+        "D2 z2": 3 in minus and weak_condition(out_n, x, y, z),
+        "D3 z": bool(plus) and in_n[z] in (in_n[x], in_n[y]),
+        "D4 z": bool(minus) and out_n[z] in (out_n[x], out_n[y]),
+        "D5 z1": out_n[z] == out_n[x] and in_n[z] == in_n[y],
+        "D5 z2": in_n[z] == in_n[x] and out_n[z] == out_n[y],
     }
     return {role for role, fills in roles.items() if fills}
 
@@ -303,8 +294,8 @@ def test_every_witness_is_a_transitive_middle():
                     if roles:
                         filled |= roles
                         assert (x, z) in g.arc_set and (z, y) in g.arc_set, (name, g, x, y, z)
-                        assert weak_n_condition(g, x, y, z, "+"), (name, g, x, y, z)
-                        assert weak_n_condition(g, x, y, z, "-"), (name, g, x, y, z)
+                        for nbhds in closed_nbhds(g).values():
+                            assert weak_condition(nbhds, x, y, z), (name, g, x, y, z)
     assert len(filled) == 7
 
 
@@ -313,8 +304,8 @@ def test_endpoints_never_witness():
     for g in _thin_small() + _thin_random():
         for x, y in g.arcs:
             for z in (x, y):
-                for sign in "+-":
-                    assert n_condition(g, x, y, z, sign) is None
+                for nbhds in closed_nbhds(g).values():
+                    assert strict_conditions(nbhds, x, y, z) == ()
 
 
 def test_cartesian_arc_survives():
