@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print the outputs of strong_pfd, cartesian_pfd, the skeleton's removal
-ledger, direction_conflicts, the class partition S and the quotient by it
-over a fixed seeded corpus, one line per input.
+ledger, direction_conflicts, the class partition S, the quotient by it and
+the brute-force strong factorizer over a fixed seeded corpus, one line per
+input.
 
 The corpus is every connected digraph on at most 4 vertices, seeded random
 connected digraphs, relabelled strong products of seeded primes, half of
@@ -9,11 +10,12 @@ them times K2, and hub shapes with a relabelled copy of each: out-, in- and
 bidirected stars, brooms (a directed path with a star at its end) and
 stars times P2 under the strong product, at most 40 vertices each.
 direction_conflicts checks the input against the finest colouring of its
-shadow, from undirected_cartesian_pfd.  Each line holds the input's label
-and, for each of the six calls, the repr of its result or the type and
-message of the exception it raised.  Two trees, or one tree under `python`
-and `python -O`, give the same outputs exactly when the printed text is
-identical:
+shadow, from undirected_cartesian_pfd.  brute_force_strong_pfd runs at its
+default limit, so inputs above 10 vertices print its SizeLimitExceededError.
+Each line holds the input's label and, for each of the seven calls, the repr
+of its result or the type and message of the exception it raised.  Two trees,
+or one tree under `python` and `python -O`, give the same outputs exactly
+when the printed text is identical:
 
     PYTHONPATH=src python scripts/output_digest.py > a.txt
     PYTHONPATH=src python -O scripts/output_digest.py > b.txt
@@ -23,6 +25,7 @@ identical:
 from digraph_pfd import (
     Digraph,
     SplitMix64,
+    brute_force_strong_pfd,
     cartesian_pfd,
     cartesian_skeleton,
     complete_digraph,
@@ -105,6 +108,7 @@ def main() -> None:
             outcome(lambda: direction_conflicts(g, undirected_cartesian_pfd(g))),
             outcome(lambda: s_partition(g)),
             outcome(lambda: quotient(g)),
+            outcome(lambda: brute_force_strong_pfd(g)),
             sep="\t",
         )
 

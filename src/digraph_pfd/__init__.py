@@ -23,7 +23,6 @@ from .factorization import (
 )
 from .graphio import export_dot, parse_edge_list, serialize_edge_list
 from .oracle import (
-    OracleConfig,
     SplitMix64,
     brute_force_strong_pfd,
     enumerate_connected_digraphs,
@@ -50,7 +49,6 @@ __all__ = [
     "DispensabilityWitness",
     "EdgeColoring",
     "Factorization",
-    "OracleConfig",
     "Partition",
     "QuotientWithMultiplicity",
     "SkeletonResult",

@@ -21,7 +21,7 @@ from .digraph import Digraph
 from .errors import GraphError, ParseError, SizeLimitExceededError
 from .factorization import Factorization
 from .graphio import MAX_VERTICES, export_dot, parse_edge_list, serialize_edge_list
-from .oracle import OracleConfig, brute_force_strong_pfd, random_prime_digraph, random_thin_digraph
+from .oracle import brute_force_strong_pfd, random_prime_digraph, random_thin_digraph
 from .products import cartesian_product, strong_product
 from .relations import quotient
 from .skeleton import cartesian_skeleton
@@ -166,8 +166,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle_factor(args) -> int:
     g = _read_graph(args.graph)
-    cfg = OracleConfig(max_vertices=args.max_n)
-    f = brute_force_strong_pfd(g, cfg)
+    f = brute_force_strong_pfd(g, max_vertices=args.max_n)
     _write_output(_format_factorization(g, f), args.output)
     return 0
 

@@ -166,4 +166,6 @@ class Digraph:
 
 def complete_digraph(n: int) -> Digraph:
     """K_n: every ordered pair of distinct vertices is an arc."""
+    if type(n) is not int:
+        raise VertexOutOfRangeError(f"vertex count must be a non-negative int, got {n!r}")
     return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])

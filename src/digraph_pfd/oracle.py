@@ -1,18 +1,20 @@
 """Brute-force ground truth and seeded graph generators.
 
 Everything here exists to check the real algorithms, so it is deliberately
-simple: the factorizer searches over coordinate assignments exhaustively
-(with degree-product pruning), and the enumerator walks all arc-state vectors
-on up to four vertices.  The random generators draw from a splitmix64 stream
-so fixtures are byte-identical across platforms and Python versions.
+simple.  The factorizer places vertices on a grid exhaustively (with
+degree-product pruning), deducing both factors' arcs into one store; a full
+placement is accepted only if the product of those factors is the input,
+pair by pair.  The enumerator walks all arc-state vectors on up to four
+vertices.  The random generators draw from a splitmix64 stream so fixtures
+are byte-identical across platforms and Python versions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from .canon import canonical_form
 from .digraph import Digraph
@@ -57,10 +59,8 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    max_vertices: int = 10
-    time_budget: float = 120.0
+MAX_VERTICES = 10
+TIME_BUDGET_S = 120.0
 
 
 class _Budget:
@@ -89,102 +89,85 @@ def _bfs_order(g: Digraph) -> list[int]:
 
 
 def _split_strong(g: Digraph, a: int, b: int, budget: _Budget):
-    """Search for coordinates realizing g as A boxtimes B with |A|=a, |B|=b.
+    """Search for factors A, B with |A|=a, |B|=b and g = A boxtimes B.
 
-    Returns (row, col) coordinate lists or None.  Arc variables of the two
-    candidate factors are deduced incrementally while vertices are placed in
-    BFS order; rows and columns are introduced in canonical order, which is
+    Returns ((A, B), cells), where cells[v] is v's (row, column), or None.
+    Arc variables of A and B are deduced while vertices are placed in BFS
+    order; rows and columns are introduced in canonical order, which is
     enough because factors are only needed up to isomorphism.
     """
     n = g.n
-    feasible = {s * t for s in range(1, a + 1) for t in range(1, b + 1)}
-    for v in range(n):
-        if len(g.out_adj[v]) + 1 not in feasible or len(g.in_adj[v]) + 1 not in feasible:
-            return None
+    closed_degrees = {len(adj) + 1 for adj in g.out_adj + g.in_adj}
+    if not closed_degrees <= {s * t for s in range(1, a + 1) for t in range(1, b + 1)}:
+        return None
 
     order = _bfs_order(g)
     pos: dict[int, tuple[int, int]] = {}
-    grid: dict[tuple[int, int], int] = {}
+    grid: set[tuple[int, int]] = set()
     row_count = [0] * a
     col_count = [0] * b
-    arc_a: dict[tuple[int, int], bool] = {}
-    arc_b: dict[tuple[int, int], bool] = {}
-    pending_a: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    pending_b: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # known[f, s, t]: whether factor f (0 for A, 1 for B) has the arc s -> t.
+    known: dict[tuple[int, int, int], bool] = {}
+    # nand[key]: the other factor's variables that cannot hold with key.  They
+    # only prune: the check of a full placement decides.
+    nand: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
 
-    def set_arc(arcs, pending_own, other_arcs, pair, val, trail) -> bool:
-        known = arcs.get(pair)
-        if known is not None:
-            return known == val
-        arcs[pair] = val
-        trail.append((arcs, pair))
-        if val:
-            for other in pending_own.get(pair, ()):  # NAND partners forced off
-                if not set_arc(other_arcs, {}, arcs, other, False, trail):
-                    return False
-        return True
+    def deduce(key, val, trail) -> bool:
+        was = known.get(key)
+        if was is not None:
+            return was == val
+        known[key] = val
+        trail.append(key)
+        return not val or all(deduce(other, False, trail) for other in nand.get(key, ()))
 
-    def add_nand(pa, pb, trail) -> bool:
-        ka, kb = arc_a.get(pa), arc_b.get(pb)
-        if ka is False or kb is False:
+    def exclude(ka, kb, trail) -> bool:
+        va, vb = known.get(ka), known.get(kb)
+        if va is False or vb is False:
             return True
-        if ka and kb:
-            return False
-        if ka:
-            return set_arc(arc_b, pending_b, arc_a, pb, False, trail)
-        if kb:
-            return set_arc(arc_a, pending_a, arc_b, pa, False, trail)
-        pending_a.setdefault(pa, []).append(pb)
-        pending_b.setdefault(pb, []).append(pa)
-        trail.append(("nand", pa, pb))
+        if va:
+            return deduce(kb, False, trail)
+        if vb:
+            return deduce(ka, False, trail)
+        nand.setdefault(ka, []).append(kb)
+        nand.setdefault(kb, []).append(ka)
+        trail.append((ka, kb))
         return True
 
     def try_place(v, x, y, trail) -> bool:
         for u, (ux, uy) in pos.items():
-            fwd = g.has_arc(u, v)
-            bwd = g.has_arc(v, u)
-            if ux == x:
-                if not set_arc(arc_b, pending_b, arc_a, (uy, y), fwd, trail):
-                    return False
-                if not set_arc(arc_b, pending_b, arc_a, (y, uy), bwd, trail):
-                    return False
-            elif uy == y:
-                if not set_arc(arc_a, pending_a, arc_b, (ux, x), fwd, trail):
-                    return False
-                if not set_arc(arc_a, pending_a, arc_b, (x, ux), bwd, trail):
-                    return False
-            else:
-                if fwd:
-                    if not set_arc(arc_a, pending_a, arc_b, (ux, x), True, trail):
-                        return False
-                    if not set_arc(arc_b, pending_b, arc_a, (uy, y), True, trail):
-                        return False
-                elif not add_nand((ux, x), (uy, y), trail):
-                    return False
-                if bwd:
-                    if not set_arc(arc_a, pending_a, arc_b, (x, ux), True, trail):
-                        return False
-                    if not set_arc(arc_b, pending_b, arc_a, (y, uy), True, trail):
-                        return False
-                elif not add_nand((x, ux), (y, uy), trail):
+            for arc, ka, kb in (
+                ((u, v) in g.arc_set, (0, ux, x), (1, uy, y)),
+                ((v, u) in g.arc_set, (0, x, ux), (1, y, uy)),
+            ):
+                if ux == x:
+                    ok = deduce(kb, arc, trail)
+                elif uy == y:
+                    ok = deduce(ka, arc, trail)
+                elif arc:
+                    ok = deduce(ka, True, trail) and deduce(kb, True, trail)
+                else:
+                    ok = exclude(ka, kb, trail)
+                if not ok:
                     return False
         return True
 
     def undo(trail) -> None:
         while trail:
             entry = trail.pop()
-            if entry[0] == "nand":
-                _, pa, pb = entry
-                pending_a[pa].pop()
-                pending_b[pb].pop()
+            if len(entry) == 2:  # a pair excluded by exclude()
+                nand[entry[0]].pop()
+                nand[entry[1]].pop()
             else:
-                store, pair = entry
-                del store[pair]
+                del known[entry]
 
     def place(k: int, rows_used: int, cols_used: int) -> bool:
         budget.tick()
-        if k == n:
-            return True
+        if k == n:  # every variable is known: accept only if A boxtimes B is g
+            return all(
+                ((u, w) in g.arc_set)
+                == all(s == t or known[f, s, t] for f, s, t in zip((0, 1), pos[u], pos[w]))
+                for u, w in itertools.permutations(range(n), 2)
+            )
         v = order[k]
         xs = [x for x in range(rows_used) if row_count[x] < b]
         if rows_used < a:
@@ -192,85 +175,72 @@ def _split_strong(g: Digraph, a: int, b: int, budget: _Budget):
         ys = [y for y in range(cols_used) if col_count[y] < a]
         if cols_used < b:
             ys.append(cols_used)
-        for x in xs:
-            for y in ys:
-                if (x, y) in grid:
-                    continue
-                trail: list = []
-                if try_place(v, x, y, trail):
-                    pos[v] = (x, y)
-                    grid[(x, y)] = v
-                    row_count[x] += 1
-                    col_count[y] += 1
-                    if place(
-                        k + 1,
-                        max(rows_used, x + 1),
-                        max(cols_used, y + 1),
-                    ):
-                        return True
-                    del pos[v]
-                    del grid[(x, y)]
-                    row_count[x] -= 1
-                    col_count[y] -= 1
-                undo(trail)
+        for x, y in itertools.product(xs, ys):
+            if (x, y) in grid:
+                continue
+            trail: list = []
+            if try_place(v, x, y, trail):
+                pos[v] = (x, y)
+                grid.add((x, y))
+                row_count[x] += 1
+                col_count[y] += 1
+                if place(
+                    k + 1,
+                    max(rows_used, x + 1),
+                    max(cols_used, y + 1),
+                ):
+                    return True
+                del pos[v]
+                grid.remove((x, y))
+                row_count[x] -= 1
+                col_count[y] -= 1
+            undo(trail)
         return False
 
     if not place(0, 0, 0):
         return None
-    return [pos[v][0] for v in range(n)], [pos[v][1] for v in range(n)]
+    factors = tuple(
+        Digraph(m, [(s, t) for (f, s, t), arc in known.items() if f == i and arc])
+        for i, m in enumerate((a, b))
+    )
+    return factors, [pos[v] for v in range(n)]
 
 
 def _factor_recursive(g: Digraph, budget: _Budget) -> Factorization:
     n = g.n
     if n == 1:
         return Factorization((g,), ((0,),))
-    for a in range(2, n + 1):
-        if a * a > n:
-            break
+    for a in range(2, math.isqrt(n) + 1):
         if n % a:
             continue
         found = _split_strong(g, a, n // a, budget)
         if found is None:
             continue
-        row, col = found
-        arcs_a = {
-            (row[u], row[v])
-            for u, v in g.arcs
-            if row[u] != row[v] and col[u] == col[v]
-        }
-        arcs_b = {
-            (col[u], col[v])
-            for u, v in g.arcs
-            if col[u] != col[v] and row[u] == row[v]
-        }
-        sub_a = _factor_recursive(Digraph(a, arcs_a), budget)
-        sub_b = _factor_recursive(Digraph(n // a, arcs_b), budget)
-        coords = tuple(
-            sub_a.coords[row[v]] + sub_b.coords[col[v]] for v in range(n)
-        )
+        factors, cells = found
+        sub_a, sub_b = (_factor_recursive(f, budget) for f in factors)
+        coords = tuple(sub_a.coords[x] + sub_b.coords[y] for x, y in cells)
         return Factorization(sub_a.factors + sub_b.factors, coords)
     return Factorization((g,), tuple((v,) for v in range(n)))
 
 
-def brute_force_strong_pfd(g: Digraph, cfg: OracleConfig | None = None) -> Factorization:
+def brute_force_strong_pfd(g: Digraph, max_vertices: int = MAX_VERTICES) -> Factorization:
     """Exhaustive strong-product factorization; ground truth for small graphs."""
-    cfg = cfg or OracleConfig()
-    if g.n > cfg.max_vertices:
+    if g.n > max_vertices:
         raise SizeLimitExceededError(
-            f"oracle limited to {cfg.max_vertices} vertices, got {g.n}"
+            f"oracle limited to {max_vertices} vertices, got {g.n}"
         )
     if not g.is_connected():
         raise NotConnectedError("oracle factorization requires a connected graph")
     if g.n == 0:
         return Factorization((), ())
-    return _factor_recursive(g, _Budget(cfg.time_budget))
+    return _factor_recursive(g, _Budget(TIME_BUDGET_S))
 
 
 def enumerate_connected_digraphs(n: int):
     """All connected digraphs on n vertices, one canonical representative per
     isomorphism class, in enumeration order."""
-    if n < 1:
-        raise VertexOutOfRangeError("enumeration needs n >= 1")
+    if type(n) is not int or n < 1:
+        raise VertexOutOfRangeError(f"enumeration needs an int n >= 1, got {n!r}")
     if n > 4:
         raise SizeLimitExceededError("exhaustive enumeration limited to n <= 4")
     pairs = list(itertools.combinations(range(n), 2))
@@ -296,8 +266,8 @@ _MAX_DRAWS = 100_000
 
 def _vertex_range(n_range: tuple[int, int]) -> tuple[int, int]:
     lo, hi = n_range
-    if not 0 <= lo <= hi:
-        raise VertexOutOfRangeError(f"vertex range {lo}..{hi} needs 0 <= lo <= hi")
+    if not (type(lo) is type(hi) is int and 0 <= lo <= hi):
+        raise VertexOutOfRangeError(f"vertex range {lo!r}..{hi!r} needs ints 0 <= lo <= hi")
     return lo, hi
 
 
@@ -347,13 +317,13 @@ def random_thin_digraph(
 
 def random_prime_digraph(n_range: tuple[int, int], seed: int) -> Digraph:
     """Connected digraph certified prime by the brute-force factorizer, so of
-    at most OracleConfig.max_vertices vertices."""
+    at most MAX_VERTICES vertices."""
     lo, hi = _vertex_range(n_range)
     if lo < 2:
         raise VertexOutOfRangeError("prime graphs need at least 2 vertices")
-    if hi > OracleConfig.max_vertices:
+    if hi > MAX_VERTICES:
         raise SizeLimitExceededError(
-            f"prime sampler limited to {OracleConfig.max_vertices} vertices, got {hi}"
+            f"prime sampler limited to {MAX_VERTICES} vertices, got {hi}"
         )
     return _rejection_sample(
         (lo, hi), seed, False, lambda g: len(brute_force_strong_pfd(g).factors) == 1

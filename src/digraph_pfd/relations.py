@@ -69,8 +69,8 @@ def blowup(q: Digraph, mult: Sequence[int]) -> Digraph:
     adjacent copies which inherit every inter-class arc in each direction."""
     if len(mult) != q.n:
         raise ZeroMultiplicityError(f"expected {q.n} multiplicities, got {len(mult)}")
-    if any(m < 1 for m in mult):
-        raise ZeroMultiplicityError("multiplicities must all be >= 1")
+    if any(type(m) is not int or m < 1 for m in mult):
+        raise ZeroMultiplicityError("multiplicities must all be ints >= 1")
     if not is_thin(q):
         raise NonThinQuotientError("blow-up base graph must be thin")
     *offsets, total = itertools.accumulate(mult, initial=0)

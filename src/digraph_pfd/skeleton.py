@@ -164,7 +164,7 @@ def dispensability(g: Digraph, x: int, y: int) -> DispensabilityWitness | None:
     module docstring states, or None when the arc survives.  Candidates are
     the transitive middles x -> z -> y, which hold every witness: a witness
     has N[x] & N[y] <= N[z] in both signs; y is in the + meet, x in the -."""
-    if (x, y) not in g.arc_set:
+    if not g.has_arc(x, y):
         raise ArcNotPresentError(f"arc ({x}, {y}) not present")
     out_m, in_m = g.out_mask, g.in_mask
     record = _witness(out_m, in_m, x, y, out_m[x] & in_m[y] & ~(1 << x | 1 << y))

@@ -10,7 +10,6 @@ import time
 
 from digraph_pfd import (
     Digraph,
-    OracleConfig,
     SplitMix64,
     blowup,
     brute_force_strong_pfd,
@@ -137,24 +136,22 @@ def test_criterion_5_relations_suite():
 
 
 def test_criterion_6_non_thin_pipeline():
-    cfg = OracleConfig(max_vertices=12, time_budget=300.0)
-
     g = strong_product([p2(), k2()]).graph
     want = factor_forms([p2(), k2()])
     assert factor_forms(strong_pfd(g).factors) == want
-    assert factor_forms(brute_force_strong_pfd(g, cfg).factors) == want
+    assert factor_forms(brute_force_strong_pfd(g, max_vertices=12).factors) == want
 
     gen_a = blowup(p2(), [1, 2])
     gen_b = blowup(p2(), [1, 3])
     g = strong_product([gen_a, gen_b]).graph  # class sizes 1, 2, 3, 6
     want = factor_forms([gen_a, gen_b])
     assert factor_forms(strong_pfd(g).factors) == want
-    assert factor_forms(brute_force_strong_pfd(g, cfg).factors) == want
+    assert factor_forms(brute_force_strong_pfd(g, max_vertices=12).factors) == want
 
     base = strong_product([p2(), p2()]).graph
     g = blowup(base, [1, 2, 2, 2])
     assert len(strong_pfd(g).factors) == 1
-    assert len(brute_force_strong_pfd(g, cfg).factors) == 1
+    assert len(brute_force_strong_pfd(g, max_vertices=12).factors) == 1
     assert len(strong_pfd(quotient(g).quotient).factors) == 2
     print("CRITERION 6 PASS: non-thin pipeline exact on all three constructions")
 

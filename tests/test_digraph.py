@@ -5,13 +5,19 @@ from hypothesis import given
 
 from digraph_pfd import (
     Digraph,
+    blowup,
     cartesian_product,
     complete_digraph,
+    dispensability,
+    enumerate_connected_digraphs,
     parse_edge_list,
+    random_connected_digraph,
+    random_prime_digraph,
+    random_thin_digraph,
     serialize_edge_list,
     strong_product,
 )
-from digraph_pfd.errors import LoopArcError, VertexOutOfRangeError
+from digraph_pfd.errors import LoopArcError, VertexOutOfRangeError, ZeroMultiplicityError
 
 from helpers import c3, k2, p2
 from strategies import digraphs
@@ -50,6 +56,30 @@ def test_build_rejects_out_of_range():
 def test_build_accepts_int_vertices_only(n, arcs):
     with pytest.raises(VertexOutOfRangeError):
         Digraph(n, arcs)
+
+
+# Counts, multiplicities and vertices given to the public entry points are
+# exact ints, as in Digraph(n, arcs): a float or a bool raises the package's
+# error instead of a bare TypeError or a silent result.
+NOT_INTS = {
+    "blowup-float": (lambda: blowup(p2(), [1.5, 1]), ZeroMultiplicityError),
+    "blowup-bool": (lambda: blowup(p2(), [True, 2]), ZeroMultiplicityError),
+    "complete-float": (lambda: complete_digraph(2.5), VertexOutOfRangeError),
+    "enumerate-float": (lambda: list(enumerate_connected_digraphs(2.5)), VertexOutOfRangeError),
+    "connected-float": (lambda: random_connected_digraph((2.0, 4), 0), VertexOutOfRangeError),
+    "connected-bool": (lambda: random_connected_digraph((True, 3), 0), VertexOutOfRangeError),
+    "thin-float": (lambda: random_thin_digraph((2, 4.5), 0), VertexOutOfRangeError),
+    "prime-float": (lambda: random_prime_digraph((2, 3.0), 0), VertexOutOfRangeError),
+    "dispensability-float": (lambda: dispensability(p2(), 0.0, 1), VertexOutOfRangeError),
+    "dispensability-bool": (lambda: dispensability(p2(), 0, True), VertexOutOfRangeError),
+    "dispensability-range": (lambda: dispensability(p2(), 5, 6), VertexOutOfRangeError),
+}
+
+
+@pytest.mark.parametrize("call, error", NOT_INTS.values(), ids=NOT_INTS)
+def test_entry_points_take_exact_ints(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_build_complete_k2():

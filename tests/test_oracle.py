@@ -4,7 +4,6 @@ import pytest
 
 from digraph_pfd import (
     Digraph,
-    OracleConfig,
     SplitMix64,
     brute_force_strong_pfd,
     canonical_form,
@@ -157,7 +156,7 @@ def _refuse(*args, **kwargs):
 def test_prime_sampler_refuses_sizes_over_the_oracle_limit(monkeypatch):
     # Refused before the first draw, whatever the range's lower end.
     monkeypatch.setattr(oracle, "_random_digraph", _refuse)
-    for n_range in ((OracleConfig.max_vertices + 1,) * 2, (2, 2000)):
+    for n_range in ((oracle.MAX_VERTICES + 1,) * 2, (2, 2000)):
         with pytest.raises(SizeLimitExceededError):
             random_prime_digraph(n_range, 0)
 

@@ -56,6 +56,7 @@ def test_table_retires_the_probes_and_the_undirected_type():
     names = set(retired_names())
     assert {"classify_edge", "layer", "vertex_at", "n_condition", "weak_n_condition"} <= names
     assert {"degree", "max_degree", "UndirectedGraph", "extract_complete_factor"} <= names
+    assert "OracleConfig" in names
     assert not {"export_dot", "s_partition", "quotient", "dispensability"} & names
 
 

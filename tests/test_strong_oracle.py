@@ -2,6 +2,8 @@
 same factor multisets, up to isomorphism, on seeded thin and non-thin
 digraphs with at most 16 vertices."""
 
+import pytest
+
 from digraph_pfd import (
     blowup,
     brute_force_strong_pfd,
@@ -10,15 +12,13 @@ from digraph_pfd import (
     strong_pfd,
     strong_product,
 )
-from digraph_pfd.oracle import OracleConfig, SplitMix64
+from digraph_pfd.oracle import SplitMix64
 
 from helpers import factor_forms
 
-CFG = OracleConfig(max_vertices=16)
-
-# Factor sizes of the seeded products.  (3, 4) has a smaller set of its own;
-# (4, 4) and (2, 2, 4) are left out: the oracle's split search on some of
-# them takes over half a second.
+# Factor sizes of the seeded products.  (3, 4), (4, 4) and (2, 2, 4) have
+# smaller sets of their own: the oracle's split search on some of them takes
+# about half a second.
 SIZES = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 5), (2, 2, 2), (2, 2, 3)]
 # Largest product-quotient blow-up, for the same reason.
 MAX_BLOWUP = 12
@@ -77,7 +77,7 @@ def product_quotient_blowups(count, seed):
 def assert_matches_oracle(graphs):
     counts = set()
     for g in graphs:
-        expected = factor_forms(brute_force_strong_pfd(g, CFG).factors)
+        expected = factor_forms(brute_force_strong_pfd(g, max_vertices=16).factors)
         assert factor_forms(strong_pfd(g).factors) == expected, g
         counts.add(len(expected))
     return counts
@@ -94,6 +94,11 @@ def test_seeded_products_match_oracle():
 
 def test_seeded_3x4_products_match_oracle():
     assert assert_matches_oracle(seeded_products(50, seed=11, size_choices=[(3, 4)])) >= {2}
+
+
+@pytest.mark.parametrize("sizes, count", [((4, 4), 2), ((2, 2, 4), 3)], ids=["4x4", "2x2x4"])
+def test_seeded_16_vertex_products_match_oracle(sizes, count):
+    assert assert_matches_oracle(seeded_products(60, seed=1, size_choices=[sizes])) == {count}
 
 
 def test_thin_blowups_match_oracle():
