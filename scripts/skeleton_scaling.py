@@ -12,17 +12,24 @@ The second table times cartesian_pfd on directed paths with seeded
 relabelled vertices, on relabelled directed paths times K2 under the
 Cartesian product (ladders), on directed hypercubes Q_k (Cartesian powers
 of the single arc), and on relabelled out-stars and bidirected stars, whose
-hub has every other vertex as its neighbour.  A path or a star is a tree:
+hub has every other vertex as its neighbour, then on K_{2,n} oriented
+hub 0 -> leaf -> hub 1, with its Theta(n^2) squares, on that graph times K2
+under the Cartesian product, and on a seeded connected random digraph with
+each ordered pair an arc with probability 0.1.  A path or a star is a tree:
 its edge at vertex 0 lies on no 4-cycle, which proves it Cartesian-prime,
 so those rows time that exit and not the closure.  Every edge of a ladder
 lies on a square, so the ladder rows time the closure and the placement on
-long sparse inputs.  Each row gives the best wall time of --repeats calls
+long sparse inputs.  K_{2,n} and the random digraph are proved prime by
+the search's proposal at a vertex of least degree, and K_{2,n} times K2 is
+placed from that proposal, so none of them lists its squares.  Each row
+gives the best wall time of --repeats calls
 and the tracemalloc peak of one more call, counting only that call's
 allocations.
 
 The third table times strong_pfd the same way on bidirected hypercubes Q_k
 on relabelled strong products of a directed path on 2000 vertices with
-K3 or with the directed path P3, and on relabelled out-stars times P2.  The
+K3 or with the directed path P3, on relabelled out-stars times P2, and on
+the random digraphs above, which are strong-prime.  The
 cubes are triangle-free, so strong-prime: strong_pfd returns each one as
 its own factor at its first edge in no triangle, before any neighbourhood
 mask or skeleton, so those rows time that exit.
@@ -33,8 +40,10 @@ product, whose two hubs the Cartesian stage must handle in linear time.
 
 Every timed call is also checked: the skeleton of an arc power is the power
 itself, cartesian_pfd returns a path or a star as its own one factor, a
-ladder as a directed path and K2, and Q_k as k single arcs, strong_pfd
-returns a bidirected Q_k as its own one factor, the factors of the path
+ladder as a directed path and K2, Q_k as k single arcs, K_{2,n} and the
+random digraph as their own one factor and K_{2,n} times K2 as K_{2,n} and
+K2, strong_pfd returns a bidirected Q_k and the random digraph as their own
+one factor, the factors of the path
 products are a directed path on 2000 vertices and K3 (or P3), and those of
 a star times P2 are the star and P2.  A mismatch is reported on stderr and
 the script exits with status 1.
@@ -63,6 +72,9 @@ PFD_CUBES = range(9, 13)
 STRONG_CUBES = range(9, 12)
 STRONG_PATH = 2000
 HUBS = (2000, 8000)
+K2N = (500, 1000)
+K2N_K2 = (250, 500)
+RANDOM = (200, 400)
 ARC = Digraph(2, [(0, 1)])
 K2 = complete_digraph(2)
 K3 = complete_digraph(3)
@@ -107,6 +119,23 @@ def star(n: int, both: bool = False) -> Digraph:
     """The star on n vertices, its arcs out of hub 0, or both ways."""
     out = [(0, v) for v in range(1, n)]
     return Digraph(n, out + [(v, 0) for v in range(1, n)] if both else out)
+
+
+def oriented_k2n(n: int) -> Digraph:
+    """K_{2,n} oriented hub 0 -> leaf -> hub 1, the leaves 2..n+1."""
+    leaves = range(2, n + 2)
+    return Digraph(n + 2, [(0, v) for v in leaves] + [(v, 1) for v in leaves])
+
+
+def sparse_random(n: int) -> Digraph:
+    """A connected digraph on n vertices, each ordered pair an arc with
+    probability 0.1, drawn from random.Random(n) until connected."""
+    rng = random.Random(n)
+    while True:
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.1]
+        g = Digraph(n, arcs)
+        if g.is_connected():
+            return g
 
 
 def is_out_star(g: Digraph) -> bool:
@@ -190,6 +219,17 @@ def main() -> None:
     rows += [(f"Q{k}", arc_power(k), lambda fs, k=k: fs == (ARC,) * k) for k in PFD_CUBES]
     stars = [(kind, relabelled(star(n, kind == "bi"))) for n in HUBS for kind in ("out", "bi")]
     rows += [(f"{kind}star{g.n}", g, lambda fs, g=g: fs == (g,)) for kind, g in stars]
+    rows += [(f"K2,{g.n - 2}", g, lambda fs, g=g: fs == (g,)) for g in map(oriented_k2n, K2N)]
+    rows += [
+        (
+            f"K2,{n}xK2",
+            cartesian_product([oriented_k2n(n), K2]).graph,
+            lambda fs, n=n: fs in ((oriented_k2n(n), K2), (K2, oriented_k2n(n))),
+        )
+        for n in K2N_K2
+    ]
+    randoms = [(f"random{n}", sparse_random(n)) for n in RANDOM]
+    rows += [(label, g, lambda fs, g=g: fs == (g,)) for label, g in randoms]
     cubes = [bidirected_cube(k) for k in STRONG_CUBES]
     strong_rows = [(f"Q{k}", g, lambda fs, g=g: fs == (g,)) for k, g in zip(STRONG_CUBES, cubes)]
     p3 = Digraph(3, [(0, 1), (1, 2)])
@@ -214,6 +254,7 @@ def main() -> None:
         )
         for n in HUBS
     ]
+    strong_rows += [(label, g, lambda fs, g=g: fs == (g,)) for label, g in randoms]
     for fn, table in ((cartesian_pfd, rows), (strong_pfd, strong_rows)):
         print()
         print(f"{fn.__name__:<13} {'|V|':>6} {'|E|':>8} {'time':>10} {'peak':>10}")

@@ -1,24 +1,35 @@
 """Prime factorization of connected digraphs over the Cartesian product.
 
-One equivalence closure, read off the digraph's adjacency lists and arc set,
-colours the edges of its shadow.  It joins (a) the opposite edges of every
-chordless square, (b) two edges va, vb at a vertex v unless (a, b) spans
-exactly one chordless square, and (c) the two edges at a corner of every
-misoriented chordless square, where an edge and its opposite edge carry
-different arcs: the two copies of a factor that such a square joins differ
-as digraphs, so its edges lie in one factor.  Each square is listed once,
-from its highest-ranked corner in degree order, and there are no merge
-rounds: on a shadow with m edges, arboricity a and s chordless squares the
-closure costs O(a·m + s).  One breadth-first search over the digraph
-places the vertices, the layers through vertex 0 are read off as the
-factors, and is_cartesian_product certifies the placement.  It is the only
-check, also in direction_conflicts, which certifies a caller's colouring on
-the symmetric shadow digraph and reads each arc against its translates
-across the edges of other colours.
-
 Every edge of a nontrivial Cartesian product of connected factors lies on
 a 4-cycle, so an input whose edge from vertex 0 to its least neighbour lies
-on none is returned as its own factor before the closure.
+on none is its own factor.  Otherwise one breadth-first search of the
+shadow from r, the least vertex of least degree, proposes the factors: a
+union-find over its down-edges, to the level below, joins only edges that
+lie in one prime factor, as distances add up over the factors:
+- at r, ra ~ rb unless a and b span exactly one chordless square, as two
+  edges at a vertex from two factors do;
+- at each u two or more levels from r, with down-edges ux and then uy and
+  a common down-neighbour z of x and y: ux ~ yz and uy ~ xz, as opposite
+  edges of a square lie in one factor, and ux ~ uy if the square is
+  misoriented, an edge and its opposite on different arcs, as the copies
+  of a factor carry the same arcs; with no such z, ux ~ uy, as edges of
+  two factors down from u meet two levels below;
+- when no pair at u has a z, u and its first down-neighbour x differ from
+  r in one factor alone, so ux joins a down-edge of x.
+Each factor has an edge at r, so there are at least as many classes as
+prime factors, and one class at r proves the input prime.  If every layer
+through vertex 0 has two vertices or more and is_cartesian_product
+certifies the proposal, it is the unique factorization (Feigenbaum, 1986).
+
+If not, the closure of the shadow's chordless squares joins (a) opposite
+edges, (b) two edges va, vb unless (a, b) spans exactly one chordless
+square, and (c) two edges at a corner of a misoriented square, in
+O(a·m + s) for arboricity a, m edges and s chordless squares.  Either
+colouring is placed from the search, factors ordered by their least edge,
+at vertex 0, and coordinates ranked over the layers through vertex 0, so
+both give one Factorization.  is_cartesian_product is the only check, also
+in direction_conflicts, which certifies a caller's colouring on the
+symmetric shadow and reads each arc against its translates.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from operator import add, itemgetter, ne
 from typing import Mapping
 
 from .digraph import Digraph
@@ -63,21 +74,33 @@ class EdgeColoring:
     count: int
 
 
+def _join_unsquared(parent: list[int], ev: dict[int, int], pairs: list[int], n: int) -> None:
+    """At v, with edge ids ev[a] to its neighbours, va ~ vb unless the key
+    a * n + b, a < b, is in pairs once: every neighbour outside the partners
+    of the pivot, the one with fewest, joins it, and each partner joins every
+    neighbour outside its own, in O(deg + |E1|) for E1 the pairs seen once."""
+    if len(pairs) == len(ev) * (len(ev) - 1) // 2 == len(set(pairs)):
+        return  # every pair of neighbours spans exactly one square
+    partners: dict[int, set[int]] = {}
+    for k, times in Counter(pairs).items():
+        if times == 1:
+            a, b = divmod(k, n)
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+    pivot = min(ev, key=lambda a: len(partners.get(a, ())))
+    for q in (pivot, *partners.get(pivot, ())):
+        near = partners.get(q, ())
+        for a in ev:
+            if a != q and a not in near:
+                _union(parent, ev[q], ev[a])
+
+
 def _closure_coloring(g: Digraph) -> EdgeColoring:
     """Equivalence closure of the chordless-square relation of g's shadow.
-
-    Vertices are ranked by degree, highest first, ties by id.  At v, mid[x]
-    lists the neighbours of v adjacent to x, both ranked below v, for x
-    outside N[v]: a non-adjacent pair (a, b) in mid[x] is the chordless
-    square v-a-x-b, listed only from this highest-ranked corner (Chiba and
-    Nishizeki's C4 listing).  Its unions are made here: va ~ bx, vb ~ ax, and
-    va ~ vb when va and bx, or vb and ax, carry different arcs, a verdict
-    that is the same at every corner.  It credits (a, b) to v and x and
-    (v, x) to a and b, so each vertex holds all its credits when its turn
-    comes.  va ~ vb also unless (a, b) is in E1, the pairs credited once:
-    every neighbour outside the E1 partners of the pivot, the one with
-    fewest, joins it, and each partner joins every neighbour outside its
-    own, in O(deg + |E1|)."""
+    At v, ranked by degree, mid[x] lists v's neighbours adjacent to x, all
+    ranked below v, x outside N[v]: each square v-a-x-b is made there
+    (Chiba and Nishizeki's C4 listing), crediting (a, b) to v and x and
+    (v, x) to a and b before their turns come."""
     n = g.n
     edges = sorted({(u, v) if u < v else (v, u) for u, v in g.arcs})
     arcs = g.arc_set
@@ -115,69 +138,136 @@ def _closure_coloring(g: Digraph) -> EdgeColoring:
                     (b, x) in arcs, (x, b) in arcs, (a, x) in arcs, (x, a) in arcs
                 ):
                     _union(parent, ev[a], ev[b])
-        if len(pairs) == len(ev) * (len(ev) - 1) // 2 == len(set(pairs)):
-            continue  # every pair of neighbours spans exactly one square
-        partners: dict[int, set[int]] = {}
-        for k, times in Counter(pairs).items():
-            if times == 1:
-                a, b = divmod(k, n)
-                partners.setdefault(a, set()).add(b)
-                partners.setdefault(b, set()).add(a)
-        pivot = min(ev, key=lambda a: len(partners.get(a, ())))
-        for q in (pivot, *partners.get(pivot, ())):
-            near = partners.get(q, ())
-            for a in ev:
-                if a != q and a not in near:
-                    _union(parent, ev[q], ev[a])
+        _join_unsquared(parent, ev, pairs, n)
 
     roots = [_find(parent, i) for i in range(len(edges))]
     relabel = {r: i for i, r in enumerate(sorted(set(roots)))}
     return EdgeColoring({e: relabel[r] for e, r in zip(edges, roots)}, len(relabel))
 
 
-def _coordinatize(g: Digraph, coloring: EdgeColoring):
-    """Product coordinates that a coloring of g's shadow proposes.
-
-    Returns (positions, coords): positions[i] lists the vertices of the
-    colour-i layer through vertex 0, and coords[v][i] is the rank in
-    positions[i] of the projection of v onto that layer.  Raises
-    InvalidColoringError when the layers cannot hold n vertices.
-
-    One breadth-first search from 0 labels each coordinate of a vertex v by
-    the vertex of the layer through 0 that v projects to: v copies the labels
-    of an earlier-level neighbour across an i-edge, then takes label i from
-    an earlier-level neighbour across an edge of another colour, or else is
-    its own label i.  In a product every non-zero coordinate j of v gives v
-    an earlier-level j-neighbour, so these are the product coordinates, and
-    one last pass turns the labels into ranks.  Nothing here checks them:
-    each caller certifies the placement with is_cartesian_product.
-    """
-    colors = coloring.colors
-    labels: list[list[int]] = [[0] * coloring.count] * g.n  # each v > 0 gets its own copy
-    level = [-1] * g.n
-    level[0] = 0
-    order = [0]
+def _search(g: Digraph):
+    """(order, down, lo, hi): a breadth-first search of g's shadow from r,
+    the least vertex of least degree.  order lists the vertices level by
+    level, v's neighbours one level nearer r are down[lo[v]:hi[v]], and e is
+    the id of the down-edge (v, down[e])."""
+    degree = list(map(add, map(len, g.out_adj), map(len, g.in_adj)))
+    r = degree.index(min(degree))
+    level, mark, lo, hi = [-1] * g.n, [-1] * g.n, [0] * g.n, [0] * g.n
+    level[r], order, down = 0, [r], []
     for v in order:
-        below, j = level[v] - 1, None
+        lo[v], below = len(down), level[v] - 1
         for w in g.out_adj[v] + g.in_adj[v]:
             lw = level[w]
             if lw < 0:
                 level[w] = below + 2
                 order.append(w)
-            elif lw == below:
-                i = colors[(v, w) if v < w else (w, v)]
-                if j is None:
-                    u, j, r = w, i, v
-                elif i != j:
-                    r = labels[w][j]
-        if j is not None:
-            labels[v] = c = labels[u][:]
-            c[j] = r
-    positions = [sorted(set(column)) for column in zip(*labels)]
-    if prod(map(len, positions)) != g.n:
-        raise InvalidColoringError("coloring is not a product coloring")
-    ranks = [{p: r for r, p in enumerate(layer)} for layer in positions]
-    return positions, tuple(tuple(map(dict.__getitem__, ranks, c)) for c in labels)
+            elif lw == below and mark[w] != v:  # a two-way edge is listed twice
+                mark[w] = v
+                down.append(w)
+        hi[v] = len(down)
+    return order, down, lo, hi
+
+
+def _propose(g: Digraph, search) -> tuple[list[int], int]:
+    """(colour, count): the classes of the search's down-edges that the
+    proposal's rules join, in the module's docstring."""
+    order, down, lo, hi = search
+    n, arcs, r = g.n, g.arc_set, order[0]
+    parent = list(range(len(down)))
+    ev = {a: lo[a] for a in order[1 : len({*g.out_adj[r], *g.in_adj[r]}) + 1]}  # edges ra
+    upper = order[len(ev) + 1 :]
+    pairs = []
+    for x in upper:
+        if down[lo[x]] not in ev:
+            break  # past the second level
+        for a, b in combinations(down[lo[x] : hi[x]], 2):
+            if (a, b) not in arcs and (b, a) not in arcs:
+                pairs.append(a * n + b if a < b else b * n + a)
+    _join_unsquared(parent, ev, pairs, n)
+    if len({_find(parent, e) for e in ev.values()}) == 1:
+        return [0] * len(down), 1
+    seen = [-1] * n  # seen[z]: the down-edge xz of the current x, if lo[x] <= it < hi[x]
+    for u in upper:
+        squared = False
+        for e in range(lo[u] + 1, hi[u]):
+            x, y = down[e - 1], down[e]
+            low, high = lo[x], hi[x]
+            for h in range(low, high):
+                seen[down[h]] = h
+            for f in range(lo[y], hi[y]):
+                h = seen[down[f]]
+                if low <= h < high:
+                    break
+            else:
+                _union(parent, e - 1, e)  # x and y differ from u in one factor
+                continue
+            squared, z = True, down[f]
+            _union(parent, e - 1, f)
+            _union(parent, e, h)
+            if ((u, x) in arcs, (x, u) in arcs, (u, y) in arcs, (y, u) in arcs) != (
+                (y, z) in arcs, (z, y) in arcs, (x, z) in arcs, (z, x) in arcs
+            ):
+                _union(parent, e - 1, e)
+        if not squared:  # u and its first down-neighbour differ from r in one factor alone
+            _union(parent, lo[u], lo[down[lo[u]]])
+    index: dict[int, int] = {}
+    return [index.setdefault(_find(parent, e), len(index)) for e in range(len(down))], len(index)
+
+
+def _down_colours(search, colors: Mapping[Edge, int]) -> list[int]:
+    """The colour of each down-edge of the search in a colouring of the shadow."""
+    order, down, lo, hi = search
+    return [colors[(v, w) if v < w else (w, v)] for v in order for w in down[lo[v] : hi[v]]]
+
+
+def _coordinatize(g: Digraph, search, colour: list[int], count: int):
+    """(positions, coords) that a colouring of the search's down-edges
+    proposes: positions[i] lists the i-layer through vertex 0, and
+    coords[v][i] ranks v's projection there.  Label i of v is its projection
+    on the i-layer through r: v copies the labels across its first
+    down-edge, of colour j, and takes label j across one of another colour,
+    or is its own label j.  Raises InvalidColoringError when a label is on
+    no layer through 0; the caller certifies the placement."""
+    order, down, lo, hi = search
+    labels: list[list[int]] = [[order[0]] * count] * g.n  # each v but the root gets its own copy
+    for v in order[1:]:
+        e = lo[v]
+        j, label = colour[e], v
+        for f in range(e + 1, hi[v]):
+            if colour[f] != j:
+                label = labels[down[f]][j]
+                break
+        labels[v] = c = labels[down[e]][:]
+        c[j] = label
+    positions: list[list[int]] = [[0] for _ in range(count)]
+    for w, c in enumerate(labels):
+        moved = list(map(ne, c, labels[0]))
+        if moved.count(True) == 1:
+            positions[moved.index(True)].append(w)
+    ranks = [{labels[w][i]: x for x, w in enumerate(layer)} for i, layer in enumerate(positions)]
+    try:
+        return positions, tuple(tuple(map(dict.__getitem__, ranks, c)) for c in labels)
+    except KeyError:
+        raise InvalidColoringError("coloring is not a product coloring") from None
+
+
+def _placed(g: Digraph, search, colour: list[int], count: int) -> Factorization | None:
+    """The Factorization a colouring of the search's down-edges proposes, if
+    every factor has two vertices or more and it is certified, else None."""
+    try:
+        positions, coords = _coordinatize(g, search, colour, count)
+        sizes = list(map(len, positions))
+        if min(sizes) < 2:
+            return None
+        near = {*g.out_adj[0], *g.in_adj[0]}
+        least = [min((w for w in near if coords[w][i]), default=g.n) for i in range(count)]
+        if least != sorted(least):
+            pick = itemgetter(*sorted(range(count), key=least.__getitem__))
+            sizes, coords = list(pick(sizes)), tuple(map(pick, coords))
+        f = Factorization(tuple(_layers(g, coords, sizes, 0)), coords)
+        return f if is_cartesian_product(g, f) else None
+    except (InvalidColoringError, VertexOutOfRangeError):  # the latter: no grid bijection
+        return None
 
 
 def _symmetric(g: Digraph) -> Digraph:
@@ -210,7 +300,8 @@ def _check_coloring(g: Digraph, coloring: EdgeColoring):
     ints = isinstance(count, int) and all(isinstance(i, int) for i in colors)
     if not g.n or not ints or not all(0 <= i < count for i in colors):
         raise InvalidColoringError("coloring is not a product coloring")
-    positions, coords = _coordinatize(shadow, coloring)
+    search = _search(shadow)
+    positions, coords = _coordinatize(shadow, search, _down_colours(search, coloring.colors), count)
     try:
         layers = _layers(shadow, coords, list(map(len, positions)), 0)
         certified = is_cartesian_product(shadow, Factorization(tuple(layers), coords))
@@ -260,17 +351,23 @@ def _edge_on_no_square(g: Digraph) -> bool:
 
 def cartesian_pfd(g: Digraph) -> Factorization:
     """Unique prime factorization of a connected digraph over the Cartesian
-    product: one closure of its shadow's squares, one placement, and the
-    factors read off that placement, unless an edge proves g prime first."""
+    product: the certified proposal of one breadth-first search, or else
+    the square closure placed from that search, unless an edge proves g
+    prime first."""
     if g.n == 0:
         return Factorization((), ())
     if not g.is_connected():
         raise NotConnectedError("Cartesian PFD requires a connected graph")
     if g.n == 1 or _edge_on_no_square(g):
         result = Factorization((g,), tuple((v,) for v in range(g.n)))
+        certified = is_cartesian_product(g, result)
     else:
-        positions, coords = _coordinatize(g, _closure_coloring(g))
-        result = Factorization(tuple(_layers(g, coords, list(map(len, positions)), 0)), coords)
-    if not is_cartesian_product(g, result):
+        search = _search(g)
+        result = _placed(g, search, *_propose(g, search))
+        if result is None:
+            coloring = _closure_coloring(g)
+            result = _placed(g, search, _down_colours(search, coloring.colors), coloring.count)
+        certified = result is not None
+    if not certified:
         raise ReconstructionError("result is not the Cartesian product of its factors")
     return result

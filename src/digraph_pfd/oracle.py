@@ -45,7 +45,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in 0..n-1 (rejection sampling, no modulo bias)."""
-        if n <= 0:
+        if type(n) is not int or n <= 0:
             raise ValueError("below() needs a positive bound")
         limit = (_MASK64 + 1) - (_MASK64 + 1) % n
         while True:

@@ -146,8 +146,26 @@ def hub_shapes(sizes):
         yield f"broom{n}", broom(n)
         yield f"wheel{n}", wheel(n)
     for n in range(1, 7):
-        leaves = range(2, n + 2)
-        yield f"K2,{n}", Digraph(n + 2, [(0, v) for v in leaves] + [(v, 1) for v in leaves])
+        yield f"K2,{n}", oriented_k2n(n)
+
+
+def oriented_k2n(n: int, hub_first: bool = True) -> Digraph:
+    """K_{2,n} oriented hub -> leaf -> hub: hubs 0 and 1 and leaves 2..n+1,
+    or leaves 0..n-1 and hubs n and n + 1."""
+    a, b = (0, 1) if hub_first else (n, n + 1)
+    leaves = range(2, n + 2) if hub_first else range(n)
+    return Digraph(n + 2, [(a, v) for v in leaves] + [(v, b) for v in leaves])
+
+
+def sparse_random_digraph(n: int, seed: int) -> Digraph:
+    """Connected digraph on n vertices, each ordered pair an arc with
+    probability 1/10, redrawn from SplitMix64(seed) until connected."""
+    rng = SplitMix64(seed)
+    while True:
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and not rng.below(10)]
+        g = Digraph(n, arcs)
+        if g.is_connected():
+            return g
 
 
 def converse(g: Digraph) -> Digraph:

@@ -18,7 +18,19 @@ from digraph_pfd import (
 from digraph_pfd.cartesian_pfd import EdgeColoring
 from digraph_pfd.errors import InvalidColoringError, NotConnectedError
 
-from helpers import c3, conflict_square, factor_forms, k1, k2, p2, relabelled, shadow, star, two_k2
+from helpers import (
+    c3,
+    conflict_square,
+    factor_forms,
+    k1,
+    k2,
+    oriented_k2n,
+    p2,
+    relabelled,
+    shadow,
+    star,
+    two_k2,
+)
 from strategies import connected_digraphs, graph_with_permutation
 
 
@@ -274,14 +286,24 @@ def test_near_linear_on_relabelled_hubs():
     # bidirected stars go through cartesian_pfd, and a star times P2 through
     # strong_pfd, whose skeleton is the star times P2 under the Cartesian
     # product.  A star leaves cartesian_pfd before the closure, so a star
-    # times K2 under the Cartesian product goes through it too.
+    # times K2 under the Cartesian product goes through it too.  Oriented
+    # K_{2,n}, with Theta(n^2) squares, is proved prime at a least-degree
+    # root, also with its hub at vertex 0, and K_{2,n} times K2 is placed
+    # from the proposal of one search, so neither lists the squares.
     pairs = [(cartesian_pfd, star(500, kind), star(4000, kind)) for kind in ("out", "in", "both")]
     star_p2 = [strong_product([star(n // 2, "out"), p2()]).graph for n in (500, 4000)]
     pairs.append((strong_pfd, *star_p2))
     star_k2 = [cartesian_product([star(n // 2, "out"), k2()]).graph for n in (500, 4000)]
     pairs.append((cartesian_pfd, *star_k2))
-    for seed, (factorize, small, large) in enumerate(pairs):
-        small, large = relabelled(small, 2 * seed), relabelled(large, 2 * seed + 1)
+    pairs.append((cartesian_pfd, oriented_k2n(500), oriented_k2n(4000)))
+    k2n_k2 = [cartesian_product([oriented_k2n(n // 2), k2()]).graph for n in (500, 4000)]
+    pairs.append((cartesian_pfd, *k2n_k2))
+    hub_at_0 = [(cartesian_pfd, oriented_k2n(500), oriented_k2n(4000))]
+    relabelled_pairs = [
+        (factorize, relabelled(small, 2 * seed), relabelled(large, 2 * seed + 1))
+        for seed, (factorize, small, large) in enumerate(pairs)
+    ]
+    for factorize, small, large in relabelled_pairs + hub_at_0:
         small_s = large_s = float("inf")
         for _ in range(3):  # interleaved, so that a busy spell of the host slows both sizes
             small_s = min(small_s, _best_seconds(small, 2, factorize))

@@ -119,6 +119,13 @@ def test_splitmix_reference_stream():
     assert all(0 <= x < 2**64 for x in first)
 
 
+@pytest.mark.parametrize("bound", [0, -3, 2.5, 2.0, True, "4", None])
+def test_below_takes_positive_int_bounds_only(bound):
+    # A float bound once gave a float "integer": below(2.5) returned 0.5.
+    with pytest.raises(ValueError, match="needs a positive bound"):
+        SplitMix64(0).below(bound)
+
+
 def test_samplers_are_deterministic():
     a = random_connected_digraph((2, 6), 42)
     b = random_connected_digraph((2, 6), 42)
