@@ -14,22 +14,30 @@ Cartesian product (ladders), on directed hypercubes Q_k (Cartesian powers
 of the single arc), and on relabelled out-stars and bidirected stars, whose
 hub has every other vertex as its neighbour, then on K_{2,n} oriented
 hub 0 -> leaf -> hub 1, with its Theta(n^2) squares, on that graph times K2
-under the Cartesian product, and on a seeded connected random digraph with
-each ordered pair an arc with probability 0.1.  A path or a star is a tree:
-its edge at vertex 0 lies on no 4-cycle, which proves it Cartesian-prime,
-so those rows time that exit and not the closure.  Every edge of a ladder
-lies on a square, so the ladder rows time the closure and the placement on
-long sparse inputs.  K_{2,n} and the random digraph are proved prime by
-the search's proposal at a vertex of least degree, and K_{2,n} times K2 is
-placed from that proposal, so none of them lists its squares.  Each row
-gives the best wall time of --repeats calls
+under the Cartesian product, on a seeded connected random digraph with
+each ordered pair an arc with probability 0.1, on relabelled Möbius
+ladders (a cycle on n vertices and the rungs i - (i + n/2), bidirected) and
+on relabelled Möbius ladders on 8 vertices times bidirected paths.  Every
+input pays one breadth-first search from a vertex of least degree.  A path
+or a star is a tree: its edges at that root lie on no 4-cycle, so the
+search's star test proves it Cartesian-prime, and those rows time that
+exit.  Every edge of a ladder lies on a square, so the ladder rows time the
+placement of the search's proposal on long sparse inputs.  K_{2,n} and the
+random digraph are proved prime by the proposal, and K_{2,n} times K2 is
+placed from it, so none of them lists its squares.  A Möbius ladder is a
+product at every square but twisted: the certificate refuses the proposal
+and the square closure, whose classes are finer than the factors, and the
+closure's classes are grouped into factors, so those rows time the closure
+and its grouping.  Each row gives the best wall time of --repeats calls
 and the tracemalloc peak of one more call, counting only that call's
 allocations.
 
 The third table times strong_pfd the same way on bidirected hypercubes Q_k
 on relabelled strong products of a directed path on 2000 vertices with
-K3 or with the directed path P3, on relabelled out-stars times P2, and on
-the random digraphs above, which are strong-prime.  The
+K3 or with the directed path P3, on relabelled out-stars times P2, on
+the random digraphs above, which are strong-prime, and on a relabelled
+twisted strong torus: the grid C40 x C50 with its last column joined to
+its first one row on, bidirected, with both diagonals of each square.  The
 cubes are triangle-free, so strong-prime: strong_pfd returns each one as
 its own factor at its first edge in no triangle, before any neighbourhood
 mask or skeleton, so those rows time that exit.
@@ -37,13 +45,16 @@ The product with K3 is non-thin: strong_pfd factors its quotient, the path,
 and lifts the coordinates back through the neighbourhood classes.  The
 skeleton of a star times P2 is the star times P2 under the Cartesian
 product, whose two hubs the Cartesian stage must handle in linear time.
+The skeleton of the twisted strong torus is the twisted torus, which takes
+the closure and its grouping.
 
 Every timed call is also checked: the skeleton of an arc power is the power
 itself, cartesian_pfd returns a path or a star as its own one factor, a
-ladder as a directed path and K2, Q_k as k single arcs, K_{2,n} and the
-random digraph as their own one factor and K_{2,n} times K2 as K_{2,n} and
-K2, strong_pfd returns a bidirected Q_k and the random digraph as their own
-one factor, the factors of the path
+ladder as a directed path and K2, Q_k as k single arcs, K_{2,n}, the
+random digraph and a Möbius ladder as their own one factor, K_{2,n} times
+K2 as K_{2,n} and K2, and the Möbius ladder on 8 vertices times a path as
+those two, strong_pfd returns a bidirected Q_k, the random digraph and the
+twisted strong torus as their own one factor, the factors of the path
 products are a directed path on 2000 vertices and K3 (or P3), and those of
 a star times P2 are the star and P2.  A mismatch is reported on stderr and
 the script exits with status 1.
@@ -63,6 +74,7 @@ from digraph_pfd import (
     cartesian_product,
     cartesian_skeleton,
     complete_digraph,
+    is_isomorphic,
     strong_pfd,
     strong_product,
 )
@@ -75,6 +87,9 @@ HUBS = (2000, 8000)
 K2N = (500, 1000)
 K2N_K2 = (250, 500)
 RANDOM = (200, 400)
+MOBIUS = (2000, 8000)
+MOBIUS_PATHS = (250, 1000)
+TWISTED = (40, 50, 1)
 ARC = Digraph(2, [(0, 1)])
 K2 = complete_digraph(2)
 K3 = complete_digraph(3)
@@ -138,6 +153,40 @@ def sparse_random(n: int) -> Digraph:
             return g
 
 
+def bidirected(n: int, edges) -> Digraph:
+    return Digraph(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
+
+
+def mobius_ladder(n: int) -> Digraph:
+    """The cycle on n vertices and the rungs i - (i + n/2), bidirected."""
+    k = n // 2
+    return bidirected(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + k) for i in range(k)])
+
+
+def bidirected_path(n: int) -> Digraph:
+    return bidirected(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def twisted_strong_torus(a: int, b: int, t: int) -> Digraph:
+    """Vertex (i, j), i mod a and j < b, joins (i + 1, j) and its step, which
+    is (i, j + 1), or (i + t, 0) for j = b - 1; both diagonals of each square
+    (i, j), (i + 1, j) and their steps are edges too.  All bidirected."""
+
+    def at(i, j):
+        return i % a * b + j
+
+    def step(i, j):
+        return (i, j + 1) if j < b - 1 else (i + t, 0)
+
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            i2, j2 = step(i, j)
+            edges += [(at(i, j), at(i + 1, j)), (at(i, j), at(i2, j2))]
+            edges += [(at(i, j), at(i2 + 1, j2)), (at(i + 1, j), at(i2, j2))]
+    return bidirected(a * b, edges)
+
+
 def is_out_star(g: Digraph) -> bool:
     """One vertex has an arc to every other vertex, and there is no other arc."""
     return g.arc_count == g.n - 1 and max(map(len, g.out_adj)) == g.n - 1
@@ -148,6 +197,14 @@ def is_directed_path(g: Digraph, n: int) -> bool:
     out-degree above 1 is the directed path P_n."""
     degrees = [*map(len, g.out_adj), *map(len, g.in_adj)]
     return g.n == n and g.arc_count == n - 1 and g.is_connected() and max(degrees) <= 1
+
+
+def is_bidirected_path(g: Digraph) -> bool:
+    """A connected symmetric digraph with n - 1 edges and no degree above 2
+    is the bidirected path."""
+    symmetric = all((v, u) in g.arc_set for u, v in g.arcs)
+    degrees = map(len, g.out_adj)
+    return symmetric and g.arc_count == 2 * (g.n - 1) and g.is_connected() and max(degrees) <= 2
 
 
 def relabelled_path_product(small: Digraph) -> Digraph:
@@ -230,6 +287,19 @@ def main() -> None:
     ]
     randoms = [(f"random{n}", sparse_random(n)) for n in RANDOM]
     rows += [(label, g, lambda fs, g=g: fs == (g,)) for label, g in randoms]
+    ladders = [relabelled(mobius_ladder(n)) for n in MOBIUS]
+    rows += [(f"M{g.n}", g, lambda fs, g=g: fs == (g,)) for g in ladders]
+    m8 = mobius_ladder(8)
+    rows += [
+        (
+            f"M8xP{n}",
+            relabelled(cartesian_product([m8, bidirected_path(n)]).graph),
+            lambda fs, n=n: sorted(f.n for f in fs) == [8, n]
+            and is_isomorphic(min(fs, key=lambda f: f.n), m8)
+            and is_bidirected_path(max(fs, key=lambda f: f.n)),
+        )
+        for n in MOBIUS_PATHS
+    ]
     cubes = [bidirected_cube(k) for k in STRONG_CUBES]
     strong_rows = [(f"Q{k}", g, lambda fs, g=g: fs == (g,)) for k, g in zip(STRONG_CUBES, cubes)]
     p3 = Digraph(3, [(0, 1), (1, 2)])
@@ -255,6 +325,8 @@ def main() -> None:
         for n in HUBS
     ]
     strong_rows += [(label, g, lambda fs, g=g: fs == (g,)) for label, g in randoms]
+    torus = relabelled(twisted_strong_torus(*TWISTED))
+    strong_rows += [("twisted40x50", torus, lambda fs: fs == (torus,))]
     for fn, table in ((cartesian_pfd, rows), (strong_pfd, strong_rows)):
         print()
         print(f"{fn.__name__:<13} {'|V|':>6} {'|E|':>8} {'time':>10} {'peak':>10}")

@@ -1,13 +1,12 @@
 """Prime factorization of connected digraphs over the Cartesian product.
 
-Every edge of a nontrivial Cartesian product of connected factors lies on
-a 4-cycle, so an input whose edge from vertex 0 to its least neighbour lies
-on none is its own factor.  Otherwise one breadth-first search of the
-shadow from r, the least vertex of least degree, proposes the factors: a
-union-find over its down-edges, to the level below, joins only edges that
-lie in one prime factor, as distances add up over the factors:
+One breadth-first search of the shadow from r, the least vertex of least
+degree, guards connectivity and proposes the factors: a union-find over its
+down-edges, to the level below, joins only edges that lie in one prime
+factor, as distances add up over the factors:
 - at r, ra ~ rb unless a and b span exactly one chordless square, as two
-  edges at a vertex from two factors do;
+  edges at a vertex from two factors do, so an edge at r on no 4-cycle
+  joins every other edge at r;
 - at each u two or more levels from r, with down-edges ux and then uy and
   a common down-neighbour z of x and y: ux ~ yz and uy ~ xz, as opposite
   edges of a square lie in one factor, and ux ~ uy if the square is
@@ -17,28 +16,33 @@ lie in one prime factor, as distances add up over the factors:
 - when no pair at u has a z, u and its first down-neighbour x differ from
   r in one factor alone, so ux joins a down-edge of x.
 Each factor has an edge at r, so there are at least as many classes as
-prime factors, and one class at r proves the input prime.  If every layer
+prime factors, and one class at r (the star test) proves the input prime:
+the only prime exit, taken before any union-find past r.  If every layer
 through vertex 0 has two vertices or more and is_cartesian_product
 certifies the proposal, it is the unique factorization (Feigenbaum, 1986).
 
-If not, the closure of the shadow's chordless squares joins (a) opposite
-edges, (b) two edges va, vb unless (a, b) spans exactly one chordless
-square, and (c) two edges at a corner of a misoriented square, in
-O(a·m + s) for arboricity a, m edges and s chordless squares.  Either
-colouring is placed from the search, factors ordered by their least edge,
-at vertex 0, and coordinates ranked over the layers through vertex 0, so
-both give one Factorization.  is_cartesian_product is the only check, also
-in direction_conflicts, which certifies a caller's colouring on the
-symmetric shadow and reads each arc against its translates.
+No rule reads an edge inside one search level, of a triangle or of a
+misoriented square, so the certificate can refuse the proposal.  The
+closure of the shadow's chordless squares then joins (a) opposite edges,
+(b) two edges va, vb unless (a, b) spans exactly one chordless square, and
+(c) two edges at a corner of a misoriented square, in O(a·m + s) for
+arboricity a, m edges and s chordless squares.  Its classes can be finer
+than the factors, as on a Möbius ladder, a product locally but twisted:
+if refused, they are grouped into the factors.  Either colouring is placed
+from the search, factors ordered by their least edge, at vertex 0, and
+coordinates ranked over the layers through vertex 0, so both give one
+Factorization.  is_cartesian_product is the only check, also in
+direction_conflicts, which certifies a caller's colouring on the symmetric
+shadow and reads each arc against its translates.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add, itemgetter, ne
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from .digraph import Digraph
 from .errors import InvalidColoringError, NotConnectedError, ReconstructionError
@@ -173,8 +177,8 @@ def _propose(g: Digraph, search) -> tuple[list[int], int]:
     proposal's rules join, in the module's docstring."""
     order, down, lo, hi = search
     n, arcs, r = g.n, g.arc_set, order[0]
-    parent = list(range(len(down)))
     ev = {a: lo[a] for a in order[1 : len({*g.out_adj[r], *g.in_adj[r]}) + 1]}  # edges ra
+    parent = list(range(len(ev)))  # their ids: 0..deg(r) - 1
     upper = order[len(ev) + 1 :]
     pairs = []
     for x in upper:
@@ -184,8 +188,9 @@ def _propose(g: Digraph, search) -> tuple[list[int], int]:
             if (a, b) not in arcs and (b, a) not in arcs:
                 pairs.append(a * n + b if a < b else b * n + a)
     _join_unsquared(parent, ev, pairs, n)
-    if len({_find(parent, e) for e in ev.values()}) == 1:
-        return [0] * len(down), 1
+    if len({_find(parent, e) for e in ev.values()}) < 2:
+        return [0] * len(down), 1  # the star test: g is prime
+    parent += range(len(ev), len(down))
     seen = [-1] * n  # seen[z]: the down-edge xz of the current x, if lo[x] <= it < hi[x]
     for u in upper:
         squared = False
@@ -270,6 +275,44 @@ def _placed(g: Digraph, search, colour: list[int], count: int) -> Factorization 
         return None
 
 
+def _greedy_groups(indices: Iterable[int], rest, split: Callable) -> tuple[list, list]:
+    """Split the non-empty indices into groups and the factors they split off.
+    split(P, rest) gives the factor over the positions P of the remaining
+    indices and the rest over the others, or None.  The first proper subset to
+    split, smallest first then lexicographic, is the next group; the search
+    goes on in its rest, and what no subset splits is the last group and factor."""
+    groups: list[tuple[int, ...]] = []
+    heads = []
+    remaining = tuple(indices)
+    while True:
+        k = len(remaining)
+        for P in chain(*(combinations(range(k), s) for s in range(1, k))):
+            if (parts := split(P, rest)) is not None:
+                break
+        else:
+            return groups + [remaining], heads + [rest]
+        groups.append(tuple(remaining[p] for p in P))
+        head, rest = parts
+        heads.append(head)
+        remaining = tuple(j for p, j in enumerate(remaining) if p not in P)
+
+
+def _grouped(g: Digraph, search, colour: list[int], count: int) -> list[int]:
+    """group[c] for each of the count colours of the search's down-edges, a
+    colouring finer than g's factors: the groups are g's prime factors,
+    numbered by their least colour.  A candidate {P, rest} that _placed
+    certifies is a union of factors, so the first to split off is one."""
+
+    def split(P: tuple[int, ...], rest: tuple[int, ...]):
+        head = {rest[p] for p in P}
+        if _placed(g, search, [int(c in head) for c in colour], 2) is not None:
+            return None, tuple(c for c in rest if c not in head)
+        return None
+
+    groups = sorted(_greedy_groups(range(count), tuple(range(count)), split)[0])
+    return [i for c in range(count) for i, J in enumerate(groups) if c in J]
+
+
 def _symmetric(g: Digraph) -> Digraph:
     """g's shadow as a digraph: both arcs on every edge, so no misoriented
     square."""
@@ -282,7 +325,13 @@ def undirected_cartesian_pfd(g: Digraph) -> EdgeColoring:
     factors."""
     if not g.is_connected():
         raise NotConnectedError("Cartesian PFD requires a connected graph")
-    return _closure_coloring(_symmetric(g))
+    shadow = _symmetric(g)
+    coloring = _closure_coloring(shadow)
+    if coloring.count < 2:
+        return coloring
+    search = _search(shadow)
+    group = _grouped(shadow, search, _down_colours(search, coloring.colors), coloring.count)
+    return EdgeColoring({e: group[c] for e, c in coloring.colors.items()}, max(group) + 1)
 
 
 def _check_coloring(g: Digraph, coloring: EdgeColoring):
@@ -336,37 +385,31 @@ def direction_conflicts(g: Digraph, coloring: EdgeColoring) -> list[tuple[int, i
     return _conflicts(g, coloring, _check_coloring(g, coloring)[1])
 
 
-def _edge_on_no_square(g: Digraph) -> bool:
-    """The edge from vertex 0 to its least neighbour u is on no 4-cycle
-    0-u-x-w.  No adjacency tuples are joined: CPython keeps freed tuples."""
-    near = {*g.out_adj[0], *g.in_adj[0]}
-    u = min(near)
-    near.discard(u)
-    for adj in (g.out_adj, g.in_adj):
-        for x in adj[u]:
-            if x and not (near.isdisjoint(g.out_adj[x]) and near.isdisjoint(g.in_adj[x])):
-                return False
-    return True
-
-
 def cartesian_pfd(g: Digraph) -> Factorization:
     """Unique prime factorization of a connected digraph over the Cartesian
-    product: the certified proposal of one breadth-first search, or else
-    the square closure placed from that search, unless an edge proves g
-    prime first."""
+    product: g itself if the star test of one breadth-first search proves
+    it prime, else the certified proposal of that search, or else the
+    square closure's classes placed from it, grouped into factors if need
+    be."""
     if g.n == 0:
         return Factorization((), ())
-    if not g.is_connected():
+    search = _search(g)
+    if len(search[0]) < g.n:
         raise NotConnectedError("Cartesian PFD requires a connected graph")
-    if g.n == 1 or _edge_on_no_square(g):
+    colour, count = _propose(g, search)
+    if count < 2:
+        del search, colour  # a tree's search outweighs its result
         result = Factorization((g,), tuple((v,) for v in range(g.n)))
         certified = is_cartesian_product(g, result)
     else:
-        search = _search(g)
-        result = _placed(g, search, *_propose(g, search))
+        result = _placed(g, search, colour, count)
         if result is None:
             coloring = _closure_coloring(g)
-            result = _placed(g, search, _down_colours(search, coloring.colors), coloring.count)
+            colour, count = _down_colours(search, coloring.colors), coloring.count
+            result = _placed(g, search, colour, count)
+            if result is None:  # the closure's classes are finer than the factors
+                group = _grouped(g, search, colour, count)
+                result = _placed(g, search, [group[c] for c in colour], max(group) + 1)
         certified = result is not None
     if not certified:
         raise ReconstructionError("result is not the Cartesian product of its factors")

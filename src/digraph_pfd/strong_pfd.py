@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .cartesian_pfd import cartesian_pfd
+from .cartesian_pfd import _greedy_groups, cartesian_pfd
 from .digraph import Digraph
 from .errors import IndexOutOfRangeError, NotConnectedError, ReconstructionError
 from .errors import VertexOutOfRangeError
@@ -47,6 +47,16 @@ def _ranks(coords: Coords, sizes: Sequence[int], groups) -> tuple[tuple[int, ...
     return tuple(tuple(sum(c[j] * s for j, s in zip(J, st)) for J, st in strides) for c in coords)
 
 
+def _indices(J: Iterable[int]) -> tuple[int, ...]:
+    """The distinct coordinate indices of J, ascending; raises
+    IndexOutOfRangeError for one that is not an exact int, bools included."""
+    J = list(J)
+    for j in J:
+        if type(j) is not int:
+            raise IndexOutOfRangeError(f"coordinate index {j!r} is not an int")
+    return tuple(sorted(set(J)))
+
+
 def verify_strong_grouping(
     g: Digraph, coords: Coords, J: Iterable[int]
 ) -> tuple[Digraph, Digraph] | None:
@@ -56,12 +66,14 @@ def verify_strong_grouping(
 
     Raises VertexOutOfRangeError unless coords holds one tuple of one common
     length per vertex and those ranks are a bijection onto the grid of A and
-    B; the empty graph carries no factor.
+    B, and IndexOutOfRangeError for an index in J that is not an exact int;
+    an int outside the coordinates gives None.  The empty graph carries no
+    factor.
     """
     if len(coords) != g.n or len(set(map(len, coords))) > 1:
         raise VertexOutOfRangeError("coords must hold one tuple of one length per vertex")
     k = len(coords[0]) if coords else 0
-    j_idx = tuple(sorted(set(J)))
+    j_idx = _indices(J)
     if not j_idx or any(j < 0 or j >= k for j in j_idx):
         return None
     c_idx = tuple(j for j in range(k) if j not in j_idx)
@@ -70,28 +82,6 @@ def verify_strong_grouping(
     group_sizes = [math.prod(sizes[j] for j in J) for J in (j_idx, c_idx)]
     f = Factorization(tuple(_layers(g, ranks, group_sizes, 0)), ranks)
     return f.factors if is_strong_product(g, f) else None
-
-
-def _greedy_groups(indices: Iterable[int], rest, split: Callable) -> tuple[list, list]:
-    """Split the non-empty indices into groups and the factors they split off.
-    split(P, rest) gives the factor over the positions P of the remaining
-    indices and the rest over the others, or None.  The first proper subset to
-    split, smallest first then lexicographic, is the next group; the search
-    goes on in its rest, and what no subset splits is the last group and factor."""
-    groups: list[tuple[int, ...]] = []
-    heads = []
-    remaining = tuple(indices)
-    while True:
-        k = len(remaining)
-        for P in itertools.chain(*(itertools.combinations(range(k), s) for s in range(1, k))):
-            if (parts := split(P, rest)) is not None:
-                break
-        else:
-            return groups + [remaining], heads + [rest]
-        groups.append(tuple(remaining[p] for p in P))
-        head, rest = parts
-        heads.append(head)
-        remaining = tuple(j for p, j in enumerate(remaining) if p not in P)
 
 
 def _certified(g: Digraph, result: Factorization) -> Factorization:
@@ -158,8 +148,9 @@ def gcd_multiplicity(
     table: Mapping[tuple[int, ...], int], J: Iterable[int]
 ) -> dict[tuple[int, ...], int]:
     """Project a class-size table onto the J coordinates by gcd; J is read
-    as a set of indices into the table's keys, which share one length."""
-    j_idx = tuple(sorted(set(J)))
+    as a set of exact int indices into the table's keys, which share one
+    length."""
+    j_idx = _indices(J)
     lengths = set(map(len, table))
     if len(lengths) > 1:
         raise IndexOutOfRangeError(f"class-size keys of lengths {sorted(lengths)} in one table")

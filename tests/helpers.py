@@ -168,6 +168,52 @@ def sparse_random_digraph(n: int, seed: int) -> Digraph:
             return g
 
 
+def bidirected(n: int, edges) -> Digraph:
+    """The digraph on n vertices with both arcs on every edge."""
+    return Digraph(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
+
+
+def mobius_ladder(n: int) -> Digraph:
+    """M_n for even n: the cycle 0..n-1 and the rungs i - (i + n/2), all
+    bidirected.  Every edge lies on a square, yet M_n is prime for n >= 8."""
+    k = n // 2
+    return bidirected(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + k) for i in range(k)])
+
+
+def _twisted_grid(a: int, b: int, t: int):
+    """(at, edges, step) of the twisted torus: vertex (i, j), i mod a and
+    j < b, is at(i, j) and joins (i + 1, j) and step(i, j), which is
+    (i, j + 1), or (i + t, 0) for j = b - 1."""
+
+    def at(i, j):
+        return i % a * b + j
+
+    def step(i, j):
+        return (i, j + 1) if j < b - 1 else (i + t, 0)
+
+    cells = [(i, j) for i in range(a) for j in range(b)]
+    edges = [(at(i, j), at(*c)) for i, j in cells for c in ((i + 1, j), step(i, j))]
+    return at, edges, step
+
+
+def twisted_torus(a: int, b: int, t: int) -> Digraph:
+    """C_a x C_b with column b - 1 joined to column 0 shifted t rows on,
+    bidirected: like a product at every square, yet prime for some t."""
+    at, edges, _ = _twisted_grid(a, b, t)
+    return bidirected(a * b, edges)
+
+
+def twisted_strong_torus(a: int, b: int, t: int) -> Digraph:
+    """The twisted torus with both diagonals of each of its squares, whose
+    corners are (i, j), (i + 1, j) and the steps from both."""
+    at, edges, step = _twisted_grid(a, b, t)
+    for i in range(a):
+        for j in range(b):
+            i2, j2 = step(i, j)
+            edges += [(at(i, j), at(i2 + 1, j2)), (at(i + 1, j), at(i2, j2))]
+    return bidirected(a * b, edges)
+
+
 def converse(g: Digraph) -> Digraph:
     """g with every arc reversed."""
     return Digraph(g.n, [(y, x) for x, y in g.arcs])

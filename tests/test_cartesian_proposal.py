@@ -2,14 +2,17 @@
 and runs the square closure only when the certificate refuses it.
 
 Every join of the proposal holds in the input's own prime factorization,
-so an accepted proposal is the unique one: it must give the Factorization
-of the closure path, factor for factor and coordinate for coordinate.  That
-is checked on every labelling of every connected digraph with at most four
-vertices, on oriented and relabelled products, on the Cartesian and strong
-oracle corpora, and on the skeletons that strong_pfd hands to
-cartesian_pfd.  Products, the oriented K_{2,n} and strong-prime random
-digraphs never reach the closure; a misoriented square with an edge inside
-one level of the search does."""
+so an accepted proposal, a one-class proposal included, is the unique one:
+it must give the Factorization of the closure path, its classes grouped
+into factors where the certificate refuses them, factor for factor and
+coordinate for coordinate.  That is checked on every labelling of every
+connected digraph with two to four vertices, on oriented and relabelled
+products, on the Cartesian and strong oracle corpora, and on the skeletons
+that strong_pfd hands to cartesian_pfd.  The products and primes below,
+the oriented K_{2,n} and strong-prime random digraphs among them, never
+reach the closure.  No proposal rule reads an edge inside one level of the
+search, so a misoriented square with such an edge, or a triangle, can
+send an input there, a product or a prime: a relabelled K2 x F5 does."""
 
 import importlib
 from itertools import permutations
@@ -25,6 +28,8 @@ from digraph_pfd import (
 )
 
 from helpers import (
+    bidirected,
+    factor_forms,
     oriented_k2n,
     oriented_products,
     relabelled,
@@ -51,12 +56,18 @@ def _cycle(m):
 
 def proposal_and_closure(g):
     """The Factorization of the proposal if the certificate accepts it,
-    else None, and the Factorization of the closure path."""
+    else None, and the Factorization of the closure path, its classes
+    grouped if the certificate refuses them as they are."""
     search = cartesian_pfd_mod._search(g)
     accepted = cartesian_pfd_mod._placed(g, search, *cartesian_pfd_mod._propose(g, search))
     coloring = cartesian_pfd_mod._closure_coloring(g)
     colour = cartesian_pfd_mod._down_colours(search, coloring.colors)
-    return accepted, cartesian_pfd_mod._placed(g, search, colour, coloring.count)
+    closure = cartesian_pfd_mod._placed(g, search, colour, coloring.count)
+    if closure is None:
+        group = cartesian_pfd_mod._grouped(g, search, colour, coloring.count)
+        colour = [group[c] for c in colour]
+        closure = cartesian_pfd_mod._placed(g, search, colour, max(group) + 1)
+    return accepted, closure
 
 
 def assert_accepted_proposals_exact(graphs):
@@ -64,8 +75,8 @@ def assert_accepted_proposals_exact(graphs):
     how many proposals were accepted and how many refused."""
     accepted = refused = 0
     for g in graphs:
-        if g.n < 2 or cartesian_pfd_mod._edge_on_no_square(g):
-            continue  # cartesian_pfd returns g before the search
+        if g.n < 2:
+            continue  # no edge to colour
         proposed, closure = proposal_and_closure(g)
         if proposed is None:
             refused += 1
@@ -180,6 +191,22 @@ def test_refused_proposal_runs_the_closure(monkeypatch):
     assert proposal_and_closure(g)[0] is None
     counts = _counted_closures(monkeypatch)
     assert cartesian_pfd_mod.cartesian_pfd(g).factors == (g,)
+    assert counts["closures"] == 1
+
+
+def test_refused_symmetric_product_runs_the_closure(monkeypatch):
+    # K2 x F5, F5 a triangle 0-1-2 and a square 0-2-3-4 on one edge: no
+    # proposal rule reads the triangle's edge inside one level of this
+    # labelling's search, so the proposal has 3 classes and is refused, and
+    # the closure's 2 classes are the factors.
+    f5 = bidirected(5, [(0, 1), (0, 2), (0, 4), (1, 2), (2, 3), (3, 4)])
+    g = relabelled(cartesian_product([K2, f5]).graph, 0)
+    search = cartesian_pfd_mod._search(g)
+    colour, count = cartesian_pfd_mod._propose(g, search)
+    assert count == 3 and cartesian_pfd_mod._placed(g, search, colour, count) is None
+    assert cartesian_pfd_mod._closure_coloring(g).count == 2
+    counts = _counted_closures(monkeypatch)
+    assert factor_forms(cartesian_pfd_mod.cartesian_pfd(g).factors) == factor_forms([K2, f5])
     assert counts["closures"] == 1
 
 

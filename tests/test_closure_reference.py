@@ -2,10 +2,11 @@
 highest-ranked corner, gives the same EdgeColoring as the reference closure
 in helpers.py, which reads every square of a digraph's shadow at all four
 corners.  undirected_cartesian_pfd, the closure of the shadow whatever the
-arcs' directions, matches it on every connected labelled undirected graph
-with at most 5 vertices, on Cartesian skeletons and benchmark-style
-products, on hub shapes, on every connected digraph with at most 4
-vertices and on oriented products.  With the arcs of a digraph the closure
+arcs' directions, grouped into factors where it is finer (on none of these
+inputs), matches it on every connected labelled undirected graph with at
+most 5 vertices, on Cartesian skeletons and benchmark-style products, on
+hub shapes, on every connected digraph with at most 4 vertices and on
+oriented products.  With the arcs of a digraph the closure
 gives the reference closure coarsened by direction conflicts until none is
 left."""
 

@@ -5,9 +5,12 @@ the one-factor result that the oracle confirms.
   vertices each lies in a triangle, so strong_pfd returns an input whose
   edge from vertex 0 to its least neighbour has no common neighbour as its
   own factor, before any mask is built.
-- Every edge of such a Cartesian product lies on a 4-cycle, so
-  cartesian_pfd does the same for an edge at vertex 0 on no 4-cycle,
-  before the closure.
+- Two edges at a vertex from two factors of such a Cartesian product span
+  exactly one chordless square, so cartesian_pfd returns an input as its
+  own factor when its search's star test leaves one class at the root r,
+  before any union-find past r; an edge at r on no 4-cycle joins every
+  other edge at r.  That is the Cartesian stage's only prime exit, also
+  when the proposal past r joins every down-edge into one class.
 
 Each check is read against a brute-force reference over the n <= 4 corpus,
 a relabelled copy of it, and seeded products."""
@@ -104,20 +107,45 @@ def test_no_strong_product_has_an_edge_in_no_triangle():
         assert not strong_pfd_mod._edge_in_no_triangle(g)
 
 
-def test_square_exit_is_exact_on_the_corpus():
+def _star_classes(g, monkeypatch):
+    """The classes at the root r of g's search after the star test: the
+    proposal's one call of _join_unsquared, at r."""
+    classes = []
+    join = cartesian_pfd_mod._join_unsquared
+
+    def recorded(parent, ev, pairs, n):
+        join(parent, ev, pairs, n)
+        classes.append(len({cartesian_pfd_mod._find(parent, e) for e in ev.values()}))
+
+    with monkeypatch.context() as m:
+        m.setattr(cartesian_pfd_mod, "_join_unsquared", recorded)
+        cartesian_pfd_mod._propose(g, cartesian_pfd_mod._search(g))
+    (count,) = classes
+    return count
+
+
+def test_star_exit_is_exact_on_the_corpus(monkeypatch):
+    stars = 0
+    for g in _corpus():
+        count = cartesian_pfd_mod._propose(g, cartesian_pfd_mod._search(g))[1]
+        prime = len(brute_force_cartesian_factors(g)) == 1
+        assert (count < 2) == prime == _is_itself(g, cartesian_pfd(g)), g
+        if _star_classes(g, monkeypatch) < 2:
+            stars += 1
+            assert count == 1, g
+    assert stars > 100
+
+
+def test_an_edge_at_the_root_on_no_square_leaves_one_class(monkeypatch):
     exits = 0
     for g in _corpus():
-        verdict = cartesian_pfd_mod._edge_on_no_square(g)
-        assert verdict == _on_no_square(*_least_edge(g)), g
-        if verdict:
+        r, adj = cartesian_pfd_mod._search(g)[0][0], shadow(g)[1]
+        if any(_on_no_square(r, u, adj) for u in adj[r]):
             exits += 1
-            assert len(brute_force_cartesian_factors(g)) == 1, g
-            assert _is_itself(g, cartesian_pfd(g))
+            assert _star_classes(g, monkeypatch) == 1, g
     assert exits > 100
 
 
-def test_no_cartesian_product_has_an_edge_on_no_square():
+def test_no_cartesian_product_leaves_one_class_at_the_root(monkeypatch):
     for g in _cartesian_products():
-        adj = shadow(g)[1]
-        assert not any(_on_no_square(v, u, adj) for v, u in shadow(g)[0]), g
-        assert not cartesian_pfd_mod._edge_on_no_square(g)
+        assert _star_classes(g, monkeypatch) >= 2, g

@@ -34,7 +34,7 @@ from digraph_pfd import (
 from digraph_pfd.cli import main
 from digraph_pfd.errors import GraphError, ReconstructionError, VertexOutOfRangeError
 
-from helpers import c3, k2, p2
+from helpers import c3, k2, mobius_ladder, p2
 
 # (module, product certificate it looks up, factorizer, input)
 CASES = [
@@ -64,6 +64,15 @@ def test_wrong_reconstruction_raises(monkeypatch, module, attr, fn, g):
     monkeypatch.setattr(mod, attr, _reject)
     with pytest.raises(ReconstructionError):
         getattr(mod, fn)(g)
+
+
+def test_one_group_of_the_closure_goes_through_the_certificate(monkeypatch):
+    # The closure of the Möbius ladder M8 is refused as it is and its
+    # classes group into one factor, which the certificate also refuses.
+    mod = importlib.import_module("digraph_pfd.cartesian_pfd")
+    monkeypatch.setattr(mod, "is_cartesian_product", _reject)
+    with pytest.raises(ReconstructionError):
+        mod.cartesian_pfd(mobius_ladder(8))
 
 
 def test_wrong_reconstruction_raises_under_optimize():

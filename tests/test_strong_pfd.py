@@ -86,6 +86,18 @@ def test_grouping_rejects_malformed_coords(coords):
         verify_strong_grouping(g, coords, [0])
 
 
+@pytest.mark.parametrize(
+    "J", [[0.5], [1.0], ["0"], [None], [True], [False], [0, True]], ids=lambda J: repr(J)
+)
+def test_coordinate_indices_are_exact_ints(J):
+    # A bool is no index either, though it compares and indexes as 0 or 1.
+    g = strong_product([p2(), p2()]).graph
+    with pytest.raises(IndexOutOfRangeError):
+        verify_strong_grouping(g, _skeleton_coords(g), J)
+    with pytest.raises(IndexOutOfRangeError):
+        gcd_multiplicity({(0, 0): 2, (0, 1): 4, (1, 0): 2, (1, 1): 4}, J)
+
+
 def test_grouping_rejects_on_prime_with_decomposable_skeleton():
     g = c4_bidirected()
     coords = _skeleton_coords(g)
